@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from gomptest.distributions import (
     gompertz_quantile,
     gompertz_sample,
 )
+from gomptest.stein_statistic import _support_upper, _tail_rate
 
 
 def test_params_validation():
@@ -201,3 +203,53 @@ def test_sample_size_validation():
         gompertz_sample(GompertzParams(1, 1), 0, seed=1)
     with pytest.raises(ValueError):
         alt_sample(AlternativeSpec("gamma", k=1), 0, seed=1)
+
+
+_PIN_X = (0.25, 0.9, 2.5)
+# Each family's exact behaviour: (distribution, first 16 hex digits of the
+# sha256 of its 50 draws at seed 3, its density at _PIN_X, its exponential
+# tail rate, the right end of its support).
+_PINNED = [
+    (GompertzParams(0.7, 1.3), "9fa3f5f9c6ed3521",
+     (0.9625857444378897, 0.6189656339850923, 6.824690755205966e-07), math.inf, math.inf),
+    (AlternativeSpec("gompertz", eta=0.7, b=1.3), "9fa3f5f9c6ed3521",
+     (0.9625857444378897, 0.6189656339850923, 6.824690755205966e-07), math.inf, math.inf),
+    (AlternativeSpec("lognormal", sigma=0.5), "30fde1bb8010c8c6",
+     (0.06834949509643216, 0.8670726478423408, 0.05953091657028574), 0.0, math.inf),
+    (AlternativeSpec("gamma", k=3), "9a6687c8012c04d9",
+     (0.024337524470981402, 0.16466071219494266, 0.25651562069968376), 1.0, math.inf),
+    (AlternativeSpec("invgauss", mu=1.5, lam=2.0), "f4c6b316b196730b",
+     (0.28063477755587896, 0.5531633417436586, 0.11948328181663026), 2.0 / 4.5, math.inf),
+    (AlternativeSpec("weibull", k=0.5), "cf32f1ac7e5ef501",
+     (0.6065306597126334, 0.20409897713189917, 0.06506090963336202), 0.0, math.inf),
+    (AlternativeSpec("weibull", k=1.0), "e85982df79b757b4",
+     (0.7788007830714049, 0.4065696597405991, 0.0820849986238988), 1.0, math.inf),
+    (AlternativeSpec("weibull", k=2.5), "732a84d54e917e2c",
+     (0.30288538577385754, 0.9898681633708111, 0.0005047784901208285), math.inf, math.inf),
+    (AlternativeSpec("uniform", c=3.0), "d092cb23111622df",
+     (0.3333333333333333, 0.3333333333333333, 0.3333333333333333), math.inf, 3.0),
+    (AlternativeSpec("power", nu=2.0), "b0d452104189a431",
+     (1.0, 0.5270462766947299, 0.0), math.inf, 1.0),
+    (AlternativeSpec("shifted_pareto", nu=1.5), "0c2344aa7dfbbe38",
+     (0.8586501033599193, 0.3014444252534675, 0.06545173271324678), 0.0, math.inf),
+    (AlternativeSpec("linear_failure", nu=2.0), "5e75ca69f4807af0",
+     (1.4244570618273076, 0.27943126629961684, 9.105108357847334e-05), math.inf, math.inf),
+    (AlternativeSpec("mixture", p=0.0), "5aabe41a501227a9",
+     (0.00012675793995302814, 0.011114598073158628, 0.13360188578108528), 1.0, math.inf),
+    (AlternativeSpec("mixture", p=0.3), "2bb8558892af01c7",
+     (0.2900528119290463, 0.17921096325558075, 0.0935721783700827), 1.0, math.inf),
+    (AlternativeSpec("mixture", p=1.0), "df8d6e078cf485d2",
+     (0.9665469379035974, 0.5714358153478991, 0.00016952774441003813), math.inf, math.inf),
+]
+
+
+def test_family_outputs_are_pinned():
+    for dist, digest, pdf, rate, end in _PINNED:
+        if isinstance(dist, GompertzParams):
+            sample, density = gompertz_sample, gompertz_pdf
+        else:
+            sample, density = alt_sample, alt_pdf
+        draws = sample(dist, 50, seed=3)
+        assert hashlib.sha256(draws.tobytes()).hexdigest()[:16] == digest, dist
+        assert tuple(density(dist, x) for x in _PIN_X) == pdf, dist
+        assert (_tail_rate(dist), _support_upper(dist)) == (rate, end), dist
