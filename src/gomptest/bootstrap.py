@@ -33,7 +33,8 @@ __all__ = [
     "empirical_quantile",
 ]
 
-_KIND_NAMES = ("stein", "ks", "ad", "cm", "wa")
+# Every test kind's name; the CLI and the study run all of them by default.
+DEFAULT_TESTS = ("stein", "ks", "ad", "cm", "wa")
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ class TestKind:
     a: float = None
 
     def __post_init__(self):
-        if self.name not in _KIND_NAMES:
-            raise ValueError(f"unknown test kind {self.name!r}; choose from {_KIND_NAMES}")
+        if self.name not in DEFAULT_TESTS:
+            raise ValueError(f"unknown test kind {self.name!r}; choose from {DEFAULT_TESTS}")
         if self.name == "stein":
             if self.a is None:
                 raise ValueError("the stein kind requires a weight parameter a")
@@ -57,6 +58,28 @@ class TestKind:
 
     def __str__(self):
         return f"stein(a={self.a:g})" if self.name == "stein" else self.name
+
+
+def _expand_tests(names, a_grid):
+    """Validate test names and expand them into kinds, stein once per a in a_grid.
+
+    Names are matched case-insensitively; an unknown or repeated name, or
+    stein with an empty grid, raises ValueError.
+    """
+    names = [str(t).strip().lower() for t in names]
+    if not names or any(t not in DEFAULT_TESTS for t in names):
+        raise ValueError(f"test names must be drawn from {sorted(DEFAULT_TESTS)}")
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate test names")
+    kinds = []
+    for name in names:
+        if name != "stein":
+            kinds.append(TestKind(name))
+        elif not a_grid:
+            raise ValueError("the a grid must be nonempty when the stein test is requested")
+        else:
+            kinds.extend(TestKind("stein", a) for a in a_grid)
+    return tuple(kinds)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Command-line front end: fit, gof, simulate, lifetable, sample.
 
-All data files are single-column CSV (optional header, '#' comments); all
+Data files are numeric CSV (optional header, '#' comments); all
 randomness is seed-explicit and echoed in output headers. Exit codes:
 0 success, 1 internal numeric failure, 2 usage or data error.
 """
@@ -10,12 +10,11 @@ import csv
 import io
 import sys
 
-import numpy as np
-
-from .bootstrap import TestKind, bootstrap_many
-from .distributions import GompertzParams, gompertz_sample, alt_sample
+from .bootstrap import DEFAULT_TESTS, _expand_tests, bootstrap_many
+from .distributions import alt_sample
 from .estimation import fit_mle
 from .lifetable import (
+    _read_rows,
     hazard_to_pmf,
     read_lifetable,
     sample_lifetimes,
@@ -24,7 +23,6 @@ from .lifetable import (
 )
 from .simulation import (
     DEFAULT_A_GRID,
-    DEFAULT_TESTS,
     config_from_file,
     parse_family,
     report_to_csv,
@@ -32,24 +30,6 @@ from .simulation import (
 )
 
 __all__ = ["main"]
-
-
-def _read_column(path):
-    """Single numeric CSV column; skips blanks, '#' comments, one header row."""
-    values = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                values.append(float(row[0]))
-            except ValueError:
-                if not values:
-                    continue  # header
-                raise ValueError(f"non-numeric value {row[0]!r} in {path}")
-    if not values:
-        raise ValueError(f"no numeric data in {path}")
-    return np.asarray(values, dtype=float)
 
 
 def _open_out(path):
@@ -68,27 +48,8 @@ def _write_column(path, values, seed=None):
             fh.close()
 
 
-def _parse_tests(test_csv, a_csv):
-    names = [t.strip().lower() for t in test_csv.split(",") if t.strip()]
-    known = set(DEFAULT_TESTS)
-    if not names or any(t not in known for t in names):
-        raise ValueError(f"--test names must be drawn from {sorted(known)}")
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate --test names")
-    grid = [float(s) for s in a_csv.split(",") if s.strip()]
-    kinds = []
-    for name in names:
-        if name == "stein":
-            if not grid:
-                raise ValueError("--a must be nonempty when the stein test is requested")
-            kinds.extend(TestKind("stein", a) for a in grid)
-        else:
-            kinds.append(TestKind(name))
-    return kinds
-
-
 def cmd_fit(args):
-    x = _read_column(args.input)
+    x = _read_rows(args.input)
     fit = fit_mle(x)
     print(f"n={x.size}")
     print(f"eta_hat={fit.eta_hat:.15g}")
@@ -105,8 +66,11 @@ def cmd_gof(args):
         raise ValueError("--bootstrap must be >= 1")
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly inside (0, 1)")
-    x = _read_column(args.input)
-    kinds = _parse_tests(args.test, args.a)
+    x = _read_rows(args.input)
+    kinds = _expand_tests(
+        [t for t in args.test.split(",") if t.strip()],
+        [float(a) for a in args.a.split(",") if a.strip()],
+    )
     outcomes = bootstrap_many(x, kinds, B=args.bootstrap, alpha=args.alpha, seed=args.seed)
     first = outcomes[kinds[0]]
     buf = io.StringIO()
@@ -186,11 +150,7 @@ def cmd_sample(args):
     if n < 1:
         raise ValueError("sample size must be >= 1")
     seed = 0 if seed is None else seed
-    dist = parse_family(" ".join(tokens))
-    if isinstance(dist, GompertzParams):
-        values = gompertz_sample(dist, n, seed)
-    else:
-        values = alt_sample(dist, n, seed)
+    values = alt_sample(parse_family(" ".join(tokens)), n, seed)
     _write_column(args.output, values, seed=seed)
     return 0
 

@@ -56,11 +56,7 @@ def as_sample(values):
 
 def gompertz_pdf(p, x):
     """Density of GO(p.eta, p.b); zero for x < 0."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        val = p.b * p.eta * np.exp(p.eta + p.b * x - p.eta * np.exp(p.b * x))
-    out = np.where(x >= 0.0, val, 0.0)
-    return out if out.ndim else float(out)
+    return alt_pdf(p, x)
 
 
 def gompertz_cdf(p, x):
@@ -88,24 +84,144 @@ def _gompertz_quantile_raw(eta, b, u):
 
 def gompertz_sample(p, n, seed):
     """n i.i.d. GO(p.eta, p.b) draws by inverse transform, seed-deterministic."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    u = _positive_uniforms(substream(seed), n)
-    return _gompertz_quantile_raw(p.eta, p.b, u)
+    return alt_sample(p, n, seed)
 
 
-# family name -> required parameter names
+def _positive_uniforms(gen, n):
+    # random() can return exactly 0.0; nudge it off so inverse transforms stay > 0.
+    u = gen.random(n)
+    return np.maximum(u, np.finfo(float).tiny)
+
+
+def _gompertz_density(x, eta, b):
+    return b * eta * np.exp(eta + b * x - eta * np.exp(b * x))
+
+
+def _sample_invgauss(gen, n, mu, lam):
+    # Michael-Schucany-Haas transformation: one chi-square root, one uniform.
+    nu = gen.standard_normal(n) ** 2
+    x = mu + mu * mu * nu / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(
+        4.0 * mu * lam * nu + (mu * nu) ** 2
+    )
+    u = gen.random(n)
+    return np.where(u <= mu / (mu + x), x, mu * mu / x)
+
+
+def _sample_linear_failure(gen, n, nu):
+    # Invert the survival exp(-nu*(x^2/2 + x)): x^2 + 2x - 2w/nu = 0.
+    w = -np.log1p(-_positive_uniforms(gen, n))
+    t = 2.0 * w / nu
+    return t / (np.sqrt(1.0 + t) + 1.0)
+
+
+def _sample_mixture(gen, n, p):
+    pick = gen.random(n)
+    go = _gompertz_quantile_raw(1.0, 1.0, _positive_uniforms(gen, n))
+    gam = gen.standard_gamma(5.0, n)
+    return np.where(pick < p, go, gam)
+
+
+def _mixture_density(x, p):
+    gam = x**4 * np.exp(-x) / math.gamma(5.0)
+    return p * _gompertz_density(x, 1.0, 1.0) + (1.0 - p) * gam, x > 0.0
+
+
+def _infinite(**_):
+    return math.inf
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What the code knows about one family; each function takes its parameters.
+
+    sample(gen, n, **params) draws from a Philox generator; density(x,
+    **params) returns the density formula and the support test, which
+    alt_pdf combines; tail_rate(**params) is sup{c : E[e^(cX)] < inf};
+    upper(**params) is the right end of the support. Parameters named in
+    `unit` lie in [0, 1]; all others must be strictly positive.
+    """
+
+    params: tuple
+    sample: object
+    density: object
+    tail_rate: object
+    upper: object = _infinite
+    unit: tuple = ()
+
+
 _FAMILIES = {
-    "gompertz": ("eta", "b"),
-    "lognormal": ("sigma",),
-    "gamma": ("k",),
-    "invgauss": ("mu", "lam"),
-    "weibull": ("k",),
-    "uniform": ("c",),
-    "power": ("nu",),
-    "shifted_pareto": ("nu",),
-    "linear_failure": ("nu",),
-    "mixture": ("p",),
+    "gompertz": _Family(
+        ("eta", "b"),
+        lambda gen, n, eta, b: _gompertz_quantile_raw(eta, b, _positive_uniforms(gen, n)),
+        lambda x, eta, b: (_gompertz_density(x, eta, b), x >= 0.0),
+        _infinite,
+    ),
+    "lognormal": _Family(
+        ("sigma",),
+        lambda gen, n, sigma: np.exp(sigma * gen.standard_normal(n)),
+        lambda x, sigma: (
+            np.exp(-np.log(x) ** 2 / (2.0 * sigma * sigma))
+            / (x * sigma * math.sqrt(2.0 * math.pi)),
+            x > 0.0,
+        ),
+        lambda sigma: 0.0,
+    ),
+    "gamma": _Family(
+        ("k",),
+        lambda gen, n, k: gen.standard_gamma(k, n),
+        lambda x, k: (x ** (k - 1.0) * np.exp(-x) / math.gamma(k), x > 0.0),
+        lambda k: 1.0,
+    ),
+    "invgauss": _Family(
+        ("mu", "lam"),
+        _sample_invgauss,
+        lambda x, mu, lam: (
+            np.sqrt(lam / (2.0 * math.pi * x**3))
+            * np.exp(-lam * (x - mu) ** 2 / (2.0 * mu * mu * x)),
+            x > 0.0,
+        ),
+        lambda mu, lam: lam / (2.0 * mu**2),
+    ),
+    "weibull": _Family(
+        ("k",),
+        lambda gen, n, k: (-np.log1p(-_positive_uniforms(gen, n))) ** (1.0 / k),
+        lambda x, k: (k * x ** (k - 1.0) * np.exp(-(x**k)), x > 0.0),
+        lambda k: math.inf if k > 1.0 else (1.0 if k == 1.0 else 0.0),
+    ),
+    "uniform": _Family(
+        ("c",),
+        lambda gen, n, c: c * _positive_uniforms(gen, n),
+        lambda x, c: (np.full_like(x, 1.0 / c), (x > 0.0) & (x < c)),
+        _infinite,
+        upper=lambda c: c,
+    ),
+    "power": _Family(
+        ("nu",),
+        lambda gen, n, nu: _positive_uniforms(gen, n) ** nu,
+        lambda x, nu: (x ** (1.0 / nu - 1.0) / nu, (x > 0.0) & (x <= 1.0)),
+        _infinite,
+        upper=lambda nu: 1.0,
+    ),
+    "shifted_pareto": _Family(
+        ("nu",),
+        lambda gen, n, nu: np.expm1(-np.log1p(-_positive_uniforms(gen, n)) / nu),
+        lambda x, nu: (nu * (x + 1.0) ** (-nu - 1.0), x > 0.0),
+        lambda nu: 0.0,
+    ),
+    "linear_failure": _Family(
+        ("nu",),
+        _sample_linear_failure,
+        lambda x, nu: (nu * (x + 1.0) * np.exp(-nu * (x * x / 2.0 + x)), x > 0.0),
+        _infinite,
+    ),
+    # p * GO(1,1) + (1-p) * Gamma(5): the gamma part caps the tail rate at 1.
+    "mixture": _Family(
+        ("p",),
+        _sample_mixture,
+        _mixture_density,
+        lambda p: 1.0 if p < 1.0 else math.inf,
+        unit=("p",),
+    ),
 }
 
 _ALIASES = {
@@ -140,7 +256,8 @@ class AlternativeSpec:
         name = _ALIASES.get(str(family).lower(), str(family).lower())
         if name not in _FAMILIES:
             raise ValueError(f"unknown distribution family {family!r}")
-        required = _FAMILIES[name]
+        fam = _FAMILIES[name]
+        required = fam.params
         if set(params) != set(required):
             raise ValueError(
                 f"family {name!r} takes parameters {required}, got {tuple(params)}"
@@ -150,9 +267,9 @@ class AlternativeSpec:
             v = float(params[key])
             if not math.isfinite(v):
                 raise ValueError(f"{name}.{key} must be finite, got {params[key]!r}")
-            if name == "mixture" and key == "p":
+            if key in fam.unit:
                 if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"mixture weight p must lie in [0, 1], got {v}")
+                    raise ValueError(f"{name}.{key} must lie in [0, 1], got {v}")
             elif v <= 0.0:
                 raise ValueError(f"{name}.{key} must be strictly positive, got {v}")
             clean[key] = v
@@ -190,113 +307,32 @@ def _spec_from_state(family, params):
     return AlternativeSpec(family, **params)
 
 
-def _positive_uniforms(gen, n):
-    # random() can return exactly 0.0; nudge it off so inverse transforms stay > 0.
-    u = gen.random(n)
-    return np.maximum(u, np.finfo(float).tiny)
-
-
-def _sample_invgauss(gen, n, mu, lam):
-    # Michael-Schucany-Haas transformation: one chi-square root, one uniform.
-    nu = gen.standard_normal(n) ** 2
-    x = mu + mu * mu * nu / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(
-        4.0 * mu * lam * nu + (mu * nu) ** 2
-    )
-    u = gen.random(n)
-    return np.where(u <= mu / (mu + x), x, mu * mu / x)
+def _as_spec(dist):
+    """The AlternativeSpec of a distribution; GompertzParams is its 'gompertz' spec."""
+    if isinstance(dist, GompertzParams):
+        return AlternativeSpec("gompertz", eta=dist.eta, b=dist.b)
+    return dist
 
 
 def alt_sample(spec, n, seed):
     """n i.i.d. draws from the family in `spec`, seed-deterministic.
 
-    Inverse-transform families consume one uniform per draw from the same
-    stream gompertz_sample uses, so e.g. power(nu=1) reproduces uniform(c=1)
-    draw for draw under a shared seed.
+    `spec` is an AlternativeSpec or a GompertzParams. Inverse-transform
+    families consume one uniform per draw from the same stream
+    gompertz_sample uses, so e.g. power(nu=1) reproduces uniform(c=1) draw
+    for draw under a shared seed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    gen = substream(seed)
-    prm = spec.params
-    fam = spec.family
-    if fam == "gompertz":
-        return _gompertz_quantile_raw(prm["eta"], prm["b"], _positive_uniforms(gen, n))
-    if fam == "lognormal":
-        return np.exp(prm["sigma"] * gen.standard_normal(n))
-    if fam == "gamma":
-        return gen.standard_gamma(prm["k"], n)
-    if fam == "invgauss":
-        return _sample_invgauss(gen, n, prm["mu"], prm["lam"])
-    if fam == "weibull":
-        u = _positive_uniforms(gen, n)
-        return (-np.log1p(-u)) ** (1.0 / prm["k"])
-    if fam == "uniform":
-        return prm["c"] * _positive_uniforms(gen, n)
-    if fam == "power":
-        return _positive_uniforms(gen, n) ** prm["nu"]
-    if fam == "shifted_pareto":
-        u = _positive_uniforms(gen, n)
-        return np.expm1(-np.log1p(-u) / prm["nu"])
-    if fam == "linear_failure":
-        # Invert the survival exp(-nu*(x^2/2 + x)): x^2 + 2x - 2w/nu = 0.
-        w = -np.log1p(-_positive_uniforms(gen, n))
-        t = 2.0 * w / prm["nu"]
-        return t / (np.sqrt(1.0 + t) + 1.0)
-    if fam == "mixture":
-        pick = gen.random(n)
-        go = _gompertz_quantile_raw(1.0, 1.0, _positive_uniforms(gen, n))
-        gam = gen.standard_gamma(5.0, n)
-        return np.where(pick < prm["p"], go, gam)
-    raise AssertionError(f"unhandled family {fam}")
+    spec = _as_spec(spec)
+    return _FAMILIES[spec.family].sample(substream(seed), n, **spec.params)
 
 
 def alt_pdf(spec, x):
-    """Density of the family in `spec`, evaluated elementwise; 0 outside support."""
+    """Density of `spec` (AlternativeSpec or GompertzParams); 0 outside support."""
     x = np.asarray(x, dtype=float)
-    prm = spec.params
-    fam = spec.family
+    spec = _as_spec(spec)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if fam == "gompertz":
-            return gompertz_pdf(GompertzParams(prm["eta"], prm["b"]), x)
-        if fam == "lognormal":
-            s = prm["sigma"]
-            val = np.exp(-np.log(x) ** 2 / (2.0 * s * s)) / (x * s * math.sqrt(2.0 * math.pi))
-            inside = x > 0.0
-        elif fam == "gamma":
-            k = prm["k"]
-            val = x ** (k - 1.0) * np.exp(-x) / math.gamma(k)
-            inside = x > 0.0
-        elif fam == "invgauss":
-            mu, lam = prm["mu"], prm["lam"]
-            val = np.sqrt(lam / (2.0 * math.pi * x**3)) * np.exp(
-                -lam * (x - mu) ** 2 / (2.0 * mu * mu * x)
-            )
-            inside = x > 0.0
-        elif fam == "weibull":
-            k = prm["k"]
-            val = k * x ** (k - 1.0) * np.exp(-(x**k))
-            inside = x > 0.0
-        elif fam == "uniform":
-            val = np.full_like(x, 1.0 / prm["c"])
-            inside = (x > 0.0) & (x < prm["c"])
-        elif fam == "power":
-            nu = prm["nu"]
-            val = x ** (1.0 / nu - 1.0) / nu
-            inside = (x > 0.0) & (x <= 1.0)
-        elif fam == "shifted_pareto":
-            nu = prm["nu"]
-            val = nu * (x + 1.0) ** (-nu - 1.0)
-            inside = x > 0.0
-        elif fam == "linear_failure":
-            nu = prm["nu"]
-            val = nu * (x + 1.0) * np.exp(-nu * (x * x / 2.0 + x))
-            inside = x > 0.0
-        elif fam == "mixture":
-            p = prm["p"]
-            go = np.exp(1.0 + x - np.exp(x))
-            gam = x**4 * np.exp(-x) / math.gamma(5.0)
-            val = p * go + (1.0 - p) * gam
-            inside = x > 0.0
-        else:
-            raise AssertionError(f"unhandled family {fam}")
+        val, inside = _FAMILIES[spec.family].density(x, **spec.params)
     out = np.where(inside, val, 0.0)
     return out if out.ndim else float(out)

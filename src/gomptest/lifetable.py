@@ -9,7 +9,7 @@ produce synthetic lifetimes for the goodness-of-fit tests.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,25 +163,37 @@ def sample_lifetimes(pmf, n, seed, jitter=False):
     return ages
 
 
-def read_lifetable(path):
-    """Two-column CSV (age, hazard) -> LifeTable; a header row is skipped."""
-    ages, hazards = [], []
+def _read_rows(path, columns=1):
+    """Numeric CSV rows as floats: shape (m,) for one column, else (m, columns).
+
+    Blank lines and '#' comment lines are skipped, and so are rows before
+    the first numeric one (a header). A row after that with a non-numeric
+    value or fewer than `columns` values raises ValueError, and so does a
+    file without numeric rows. Columns past `columns` are ignored.
+    """
+    rows = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
-            if not row or not row[0].strip():
+            if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
                 continue
             try:
-                age = int(float(row[0]))
-                q = float(row[1])
-            except (ValueError, IndexError):
-                if not ages:
+                if len(row) < columns:
+                    raise ValueError
+                values = [float(v) for v in row[:columns]]
+            except ValueError:
+                if not rows:
                     continue  # header
-                raise ValueError(f"malformed life-table row: {row!r}")
-            ages.append(age)
-            hazards.append(q)
-    if not ages:
-        raise ValueError(f"no data rows in life table {path!r}")
-    return LifeTable(ages=np.asarray(ages), hazards=np.asarray(hazards))
+                raise ValueError(f"malformed row {row!r} in {path}") from None
+            rows.append(values[0] if columns == 1 else values)
+    if not rows:
+        raise ValueError(f"no numeric data in {path}")
+    return np.asarray(rows, dtype=float)
+
+
+def read_lifetable(path):
+    """Two-column CSV (age, hazard) -> LifeTable; a header row is skipped."""
+    ages, hazards = _read_rows(path, 2).T
+    return LifeTable(ages=ages, hazards=hazards)
 
 
 def write_pmf(pmf, path):
@@ -200,22 +212,8 @@ def read_pmf(path):
     read. The recursion total is not persisted; the result reconstructs the
     normalized law's own hazards.
     """
-    ages, masses = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            try:
-                ages.append(int(float(row[0])))
-                masses.append(float(row[1]))
-            except (ValueError, IndexError):
-                if not ages:
-                    continue
-                raise ValueError(f"malformed pmf row: {row!r}")
-    if not ages:
-        raise ValueError(f"no data rows in pmf file {path!r}")
-    p = np.asarray(masses, dtype=float)
+    ages, p = _read_rows(path, 2).T
     total = float(np.sum(p))
     if not math.isfinite(total) or abs(total - 1.0) > 1e-6:
         raise ValueError(f"pmf file masses sum to {total}, expected 1")
-    return Pmf(ages=np.asarray(ages), masses=p / total)
+    return Pmf(ages=ages, masses=p / total)

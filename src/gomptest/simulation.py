@@ -13,12 +13,10 @@ import io
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .bootstrap import TestKind, bootstrap_many
-from .distributions import AlternativeSpec, GompertzParams, alt_sample, gompertz_sample
+from .bootstrap import DEFAULT_TESTS, _expand_tests, bootstrap_many
+from .distributions import AlternativeSpec, GompertzParams, _as_spec, alt_sample
 from .rng import derive_key
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_A_GRID = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
-DEFAULT_TESTS = ("stein", "ks", "ad", "cm", "wa")
 DESK_REPLICATIONS = 1000
 DESK_BOOTSTRAP = 500
 FULL_REPLICATIONS = 10000
@@ -54,9 +51,7 @@ def _fnv1a(text):
 
 def scenario_label(scenario):
     """Compact text tag used in reports and to key the cell's seed stream."""
-    if isinstance(scenario, GompertzParams):
-        return f"gompertz({scenario.eta:g},{scenario.b:g})"
-    return scenario.label()
+    return _as_spec(scenario).label()
 
 
 def parse_family(text):
@@ -81,12 +76,6 @@ def parse_family(text):
     if spec.family == "gompertz":
         return GompertzParams(spec.params["eta"], spec.params["b"])
     return spec
-
-
-def _draw(scenario, n, seed):
-    if isinstance(scenario, GompertzParams):
-        return gompertz_sample(scenario, n, seed)
-    return alt_sample(scenario, n, seed)
 
 
 @dataclass(frozen=True)
@@ -116,11 +105,7 @@ class SimulationConfig:
         if not grid or any(not a > 0.0 for a in grid):
             raise ValueError("a_grid must contain positive reals")
         tests = tuple(str(t).lower() for t in self.tests)
-        known = set(DEFAULT_TESTS)
-        if not tests or any(t not in known for t in tests):
-            raise ValueError(f"tests must be drawn from {sorted(known)}")
-        if len(set(tests)) != len(tests):
-            raise ValueError("duplicate test names")
+        _expand_tests(tests, grid)
         if int(self.replications) < 1 or int(self.bootstrap) < 1:
             raise ValueError("replications and bootstrap size must be >= 1")
         if not 0.0 < float(self.alpha) < 1.0:
@@ -136,13 +121,7 @@ class SimulationConfig:
 
     def kinds(self):
         """Expand the test names into concrete kinds ('stein' per a in grid)."""
-        out = []
-        for name in self.tests:
-            if name == "stein":
-                out.extend(TestKind("stein", a) for a in self.a_grid)
-            else:
-                out.append(TestKind(name))
-        return tuple(out)
+        return _expand_tests(self.tests, self.a_grid)
 
 
 @dataclass(frozen=True)
@@ -181,7 +160,7 @@ def _run_chunk(scenario, n, kinds, B, alpha, cell_seed, start, stop):
     rejections = {kind: 0 for kind in kinds}
     nf_fit = nf_boot = failures = 0
     for i in range(start, stop):
-        x = _draw(scenario, n, derive_key(cell_seed, i, 0))
+        x = alt_sample(scenario, n, derive_key(cell_seed, i, 0))
         try:
             outcomes = bootstrap_many(
                 x, kinds, B=B, alpha=alpha, seed=derive_key(cell_seed, i, 1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .distributions import GompertzParams, alt_pdf, as_sample, gompertz_pdf
+from .distributions import _FAMILIES, _as_spec, alt_pdf, as_sample
 
 __all__ = [
     "WeightParam",
@@ -250,34 +250,6 @@ def _t_closed_form_rows(ys, eta, a):
     return n * (interior + tail)
 
 
-def _t_pair_sum_rows(ys, eta, a):
-    """The order-statistic double-sum/single-sum form of the statistic.
-
-    Algebraically identical to the piecewise evaluation but numerically
-    unstable when the fitted scale collapses (huge eta_hat with tiny Y):
-    its terms grow like eta_hat^2 and cancel. Kept for validating the
-    formula itself on well-conditioned inputs; production code uses
-    _t_closed_form_rows.
-    """
-    m, n = ys.shape
-    a2 = a * a
-    a3 = a2 * a
-    g = eta[:, None] * np.exp(ys) - 1.0
-    gy = g * ys
-    e_neg = np.exp(-a * ys)
-    f1 = e_neg * (-a * gy - 2.0 * g - a2 * ys - a) / a3
-    g2 = e_neg * (g + a) / a2
-    zero = np.zeros((m, 1))
-    head_f1 = np.concatenate((zero, np.cumsum(f1, axis=1)[:, :-1]), axis=1)
-    head_gy = np.concatenate((zero, np.cumsum(gy, axis=1)[:, :-1]), axis=1)
-    head_g = np.concatenate((zero, np.cumsum(g, axis=1)[:, :-1]), axis=1)
-    count = np.arange(n, dtype=float)[None, :]
-    pair = g * head_f1 + g2 * (count - head_gy) + (2.0 / a3) * g * head_g
-    diag = e_neg * (-2.0 * a * g * gy - 2.0 * g * g - 2.0 * a2 * gy + a2) / a3
-    diag = diag + 2.0 * g * g / a3
-    return (2.0 * np.sum(pair, axis=1) + np.sum(diag, axis=1)) / n
-
-
 def t_statistic_closed_form(input, w):
     """O(n) evaluation of the statistic; agrees with the quadrature to 1e-8."""
     a = _weight_a(w)
@@ -297,44 +269,6 @@ def delta_estimate(input, w, n):
 # population transform
 
 
-def _tail_rate(density):
-    """sup{c : E[e^(cX)] < inf} for the given density."""
-    if isinstance(density, GompertzParams):
-        return math.inf
-    prm = density.params
-    fam = density.family
-    if fam in ("gompertz", "linear_failure", "uniform", "power"):
-        return math.inf
-    if fam == "gamma":
-        return 1.0
-    if fam == "weibull":
-        k = prm["k"]
-        return math.inf if k > 1.0 else (1.0 if k == 1.0 else 0.0)
-    if fam == "invgauss":
-        return prm["lam"] / (2.0 * prm["mu"] ** 2)
-    if fam in ("lognormal", "shifted_pareto"):
-        return 0.0
-    if fam == "mixture":
-        p = prm["p"]
-        rates = []
-        if p > 0.0:
-            rates.append(math.inf)
-        if p < 1.0:
-            rates.append(1.0)
-        return min(rates)
-    raise AssertionError(f"unhandled family {fam}")
-
-
-def _support_upper(density):
-    if isinstance(density, GompertzParams):
-        return math.inf
-    if density.family == "uniform":
-        return density.params["c"]
-    if density.family == "power":
-        return 1.0
-    return math.inf
-
-
 def stein_transform(density, p, s):
     """Population transform E[(eta*b*e^(bX) - b) * min(X, s)] for s > 0.
 
@@ -348,21 +282,19 @@ def stein_transform(density, p, s):
     if s <= 0.0:
         return 0.0
     eta, b = p.eta, p.b
-    rate = _tail_rate(density)
+    spec = _as_spec(density)
+    fam = _FAMILIES[spec.family]
+    rate = fam.tail_rate(**spec.params)
     if not b < rate:
         raise MomentConditionError(
             f"E[X e^(bX)] diverges: b={b:g} is not below the tail rate {rate:g}"
         )
-    if isinstance(density, GompertzParams):
-        pdf = lambda x: gompertz_pdf(density, x)
-    else:
-        pdf = lambda x: alt_pdf(density, x)
-    upper = _support_upper(density)
+    upper = fam.upper(**spec.params)
 
     def weighted(x):
         # e^(bx) alone can overflow where the density has already underflowed
         # to 0; fold the two together in log space.
-        fx = pdf(x)
+        fx = alt_pdf(spec, x)
         if fx <= 0.0:
             return 0.0
         return eta * b * math.exp(b * x + math.log(fx)) - b * fx

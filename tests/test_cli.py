@@ -31,7 +31,7 @@ def test_fit_reads_back_its_own_precision(tmp_path, capsys):
     x = _write_sample(data, n=50, seed=3)
     main(["fit", "--input", str(data)])
     capsys.readouterr()
-    from gomptest.cli import _read_column
+    from gomptest.lifetable import _read_rows as _read_column
     back = _read_column(str(data))
     rewritten = "".join(f"{v:.15g}\n" for v in back)
     assert rewritten == "".join(f"{v:.15g}\n" for v in x)

@@ -6,6 +6,8 @@ import pytest
 from scipy import integrate, stats
 
 from gomptest.distributions import (
+    _FAMILIES,
+    _as_spec,
     AlternativeSpec,
     GompertzParams,
     alt_pdf,
@@ -16,7 +18,6 @@ from gomptest.distributions import (
     gompertz_quantile,
     gompertz_sample,
 )
-from gomptest.stein_statistic import _support_upper, _tail_rate
 
 
 def test_params_validation():
@@ -252,4 +253,6 @@ def test_family_outputs_are_pinned():
         draws = sample(dist, 50, seed=3)
         assert hashlib.sha256(draws.tobytes()).hexdigest()[:16] == digest, dist
         assert tuple(density(dist, x) for x in _PIN_X) == pdf, dist
-        assert (_tail_rate(dist), _support_upper(dist)) == (rate, end), dist
+        spec = _as_spec(dist)
+        fam = _FAMILIES[spec.family]
+        assert (fam.tail_rate(**spec.params), fam.upper(**spec.params)) == (rate, end), dist

@@ -151,7 +151,7 @@ def test_sampling_validation():
 
 def test_csv_round_trips(tmp_path):
     lt_path = tmp_path / "lt.csv"
-    lt_path.write_text("age,hazard\n0,0.5\n1,0.25\n2,1.0\n")
+    lt_path.write_text("# period table\nage,hazard\n0,0.5\n# mid-table note\n1,0.25\n2,1.0\n")
     table = read_lifetable(lt_path)
     assert np.array_equal(table.ages, [0, 1, 2])
     assert np.allclose(table.hazards, [0.5, 0.25, 1.0])
@@ -159,6 +159,7 @@ def test_csv_round_trips(tmp_path):
     pmf = hazard_to_pmf(table)
     out = tmp_path / "pmf.csv"
     write_pmf(pmf, out)
+    out.write_text("# written by write_pmf\n" + out.read_text() + "# end\n")
     back = read_pmf(out)
     assert np.array_equal(back.ages, pmf.ages)
     assert np.allclose(back.masses, pmf.masses, rtol=0, atol=1e-12)
@@ -173,7 +174,15 @@ def test_csv_error_cases(tmp_path):
     bad.write_text("age,hazard\n0,0.5\n1,oops\n")
     with pytest.raises(ValueError):
         read_lifetable(bad)
+    short = tmp_path / "short.csv"
+    short.write_text("age,hazard\n0,0.5\n1\n")
+    with pytest.raises(ValueError):
+        read_lifetable(short)
     badpmf = tmp_path / "badpmf.csv"
     badpmf.write_text("age,mass\n0,0.9\n1,0.9\n")
     with pytest.raises(ValueError):
         read_pmf(badpmf)
+    for text in ("age,mass\n0,0.5\n1,0.5\nage,mass\n", "age,mass\n0,0.5\n1\n"):
+        badpmf.write_text(text)
+        with pytest.raises(ValueError):
+            read_pmf(badpmf)

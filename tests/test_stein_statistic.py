@@ -18,7 +18,6 @@ from gomptest.stein_statistic import (
     MomentConditionError,
     StatisticInput,
     WeightParam,
-    _t_pair_sum_rows,
     delta_estimate,
     stein_transform,
     t_statistic_closed_form,
@@ -54,6 +53,34 @@ def brute_t(ys, eta, a):
             total += val
     total += v(ys[-1] + 1.0) ** 2 * math.exp(-a * ys[-1]) / a
     return ys.size * total
+
+
+def pair_sum_rows(ys, eta, a):
+    """The order-statistic double-sum/single-sum form of the statistic.
+
+    Algebraically identical to the piecewise evaluation but numerically
+    unstable when the fitted scale collapses (huge eta_hat with tiny Y):
+    its terms grow like eta_hat^2 and cancel. An oracle for the formula
+    itself on well-conditioned inputs; the library evaluates the statistic
+    with _t_closed_form_rows.
+    """
+    m, n = ys.shape
+    a2 = a * a
+    a3 = a2 * a
+    g = eta[:, None] * np.exp(ys) - 1.0
+    gy = g * ys
+    e_neg = np.exp(-a * ys)
+    f1 = e_neg * (-a * gy - 2.0 * g - a2 * ys - a) / a3
+    g2 = e_neg * (g + a) / a2
+    zero = np.zeros((m, 1))
+    head_f1 = np.concatenate((zero, np.cumsum(f1, axis=1)[:, :-1]), axis=1)
+    head_gy = np.concatenate((zero, np.cumsum(gy, axis=1)[:, :-1]), axis=1)
+    head_g = np.concatenate((zero, np.cumsum(g, axis=1)[:, :-1]), axis=1)
+    count = np.arange(n, dtype=float)[None, :]
+    pair = g * head_f1 + g2 * (count - head_gy) + (2.0 / a3) * g * head_g
+    diag = e_neg * (-2.0 * a * g * gy - 2.0 * g * g - 2.0 * a2 * gy + a2) / a3
+    diag = diag + 2.0 * g * g / a3
+    return (2.0 * np.sum(pair, axis=1) + np.sum(diag, axis=1)) / n
 
 
 def _case(rng):
@@ -112,13 +139,13 @@ def test_statistic_n1_hand_value():
 
 
 def test_pair_sum_expansion_agrees_on_healthy_inputs():
-    # the O(n^2) pair expansion is kept for cross-validation only; it is
-    # numerically unstable on degenerate fits, so compare on healthy shapes
+    # the pair expansion is numerically unstable on degenerate fits, so
+    # compare on healthy shapes
     rng = np.random.default_rng(77)
     for _ in range(25):
         ys, eta, a = _case(rng)
         want = t_statistic_quadrature(StatisticInput(ys, eta), WeightParam(a))
-        got = float(_t_pair_sum_rows(ys[None, :], np.array([eta]), a)[0])
+        got = float(pair_sum_rows(ys[None, :], np.array([eta]), a)[0])
         assert math.isclose(got, want, rel_tol=1e-8, abs_tol=1e-12)
 
 
