@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from gomptest.distributions import (
     gompertz_sample,
 )
 from gomptest.estimation import (
+    B_FLOOR,
+    NEWTON_TOL,
     FitResult,
     PilotFailedError,
     ScoreOverflowError,
@@ -187,6 +190,53 @@ def test_fit_batch_matches_scalar_bitwise():
     batch = fit_batch(np.stack(rows))
     for i, row in enumerate(rows):
         assert _same_fit(batch.result(i), fit_mle(row)), i
+
+
+def _boundary_refits():
+    # GO(eta_hat, 1) refits of gamma(0.8) data, as the bootstrap draws them:
+    # many pilot failures, rescues and noise roots just above B_FLOOR.
+    data = alt_sample(AlternativeSpec("gamma", k=0.8), 1000, seed=1)
+    eta = fit_mle(data).eta_hat
+    return [gompertz_sample(GompertzParams(eta, 1.0), 1000, seed=s) for s in range(200)]
+
+
+# (rows, converged count, sha256 of np.packbits(converged)), frozen from the
+# grid-rescue fit; the converged/fallback verdict must not move.
+_VERDICT_CASES = {
+    "go_n80": (
+        lambda: [gompertz_sample(GompertzParams(1.0, 1.0), 80, seed=s) for s in range(50)],
+        50,
+        "afcb7669a66d4c769b8c32b267333b1816bd5537832630f3b283a3f272285151",
+    ),
+    "gamma1_n30": (
+        lambda: [alt_sample(AlternativeSpec("gamma", k=1.0), 30, seed=s) for s in range(50)],
+        34,
+        "6f4164d4919dbc9f22336a789ee3821836733b8848294f8f888f7f2c22e8c4e7",
+    ),
+    "lognormal_n30": (
+        lambda: [alt_sample(AlternativeSpec("lognormal", sigma=0.5), 30, seed=s) for s in range(50)],
+        50,
+        "afcb7669a66d4c769b8c32b267333b1816bd5537832630f3b283a3f272285151",
+    ),
+    "boundary_refits_n1000": (
+        _boundary_refits,
+        147,
+        "a9d5e7463b90cdcb10614c869064fcb6e33ea4b328ece63c2ac02826dab58616",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERDICT_CASES))
+def test_fit_verdicts_are_pinned(case):
+    make_rows, n_conv, digest = _VERDICT_CASES[case]
+    rows = make_rows()
+    fits = fit_batch(np.stack(rows))
+    assert int(fits.converged.sum()) == n_conv
+    assert hashlib.sha256(np.packbits(fits.converged).tobytes()).hexdigest() == digest
+    assert np.all(fits.b[fits.fallback] == 0.001)
+    for i in np.nonzero(fits.converged)[0]:
+        assert fits.b[i] > B_FLOOR
+        assert abs(score_h(fits.b[i], rows[i])) < NEWTON_TOL
 
 
 def test_fallback_path():
