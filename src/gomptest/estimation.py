@@ -5,7 +5,10 @@ The scale b is the root of the profile score
     h(b) = (mean(e^(b x_j)) - 1) * (b*xbar + 1) - (b/n) * sum(x_j e^(b x_j)),
 
 found by Newton-Raphson from a pilot start built out of Nelson-Aalen
-cumulative-hazard ratios. The shape follows as
+cumulative-hazard ratios. A row whose pilot fails, whose Newton run fails,
+or which lands on the trivial root b=0 is rescued: a log grid above
+B_FLOOR brackets the first sign change of h, and the same Newton iteration
+reruns from the bracket's midpoint, kept inside it. The shape follows as
 eta_hat = 1 / (mean(e^(b_hat x_j)) - 1). When no positive root can be
 found the scale falls back to the conventional small value 0.001 and the
 fit is flagged.
@@ -59,7 +62,7 @@ class FitResult:
     """Estimates and diagnostics of one maximum-likelihood fit.
 
     b_pilot is NaN when the pilot could not be formed; iterations counts
-    Newton updates (initial run plus any polish after a grid rescue).
+    Newton updates (initial run plus the bracketed run after a grid rescue).
     fallback_used implies b_hat == 0.001 and converged == False.
     """
 
@@ -200,27 +203,26 @@ def _pilot_ingredients(xs):
     return z, lam_z, lam_half
 
 
-def _newton(b0, xs, active, max_iter, tol=NEWTON_TOL):
-    """Masked Newton on the score; returns (b, converged, failed, iterations).
+def _newton(b0, xs, active, lo, hi):
+    """Masked Newton on the score; returns (b, converged, iterations).
 
-    Rows stay active until |h| < tol or they fail (non-finite score, zero
-    derivative, iteration budget). Step halving keeps iterates positive.
+    Rows stay active until |h| < NEWTON_TOL or they fail (non-finite score,
+    zero derivative, iteration budget). Step halving keeps each row's
+    iterates strictly inside its bracket lo < b and b <= hi (hi may be inf).
     """
     m = xs.shape[0]
     b = b0.copy()
     converged = np.zeros(m, dtype=bool)
-    failed = np.zeros(m, dtype=bool)
     iterations = np.zeros(m, dtype=np.int64)
     active = active.copy()
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not np.any(active):
             break
         idx = np.nonzero(active)[0]
         h, hp = _score_and_deriv(b[idx], xs[idx])
         bad = ~np.isfinite(h) | ~np.isfinite(hp) | (hp == 0.0)
-        done = np.abs(h) < tol
+        done = np.abs(h) < NEWTON_TOL
         converged[idx[done & ~bad]] = True
-        failed[idx[bad]] = True
         active[idx[done | bad]] = False
         move = ~done & ~bad
         if not np.any(move):
@@ -229,8 +231,8 @@ def _newton(b0, xs, active, max_iter, tol=NEWTON_TOL):
         step = h[move] / hp[move]
         new_b = b[rows] - step
         guard = 0
-        while np.any(low := (new_b <= 0.0)) and guard < 200:
-            step = np.where(low, 0.5 * step, step)
+        while np.any(out := (new_b <= lo[rows]) | (new_b > hi[rows])) and guard < 200:
+            step = np.where(out, 0.5 * step, step)
             new_b = b[rows] - step
             guard += 1
         b[rows] = new_b
@@ -239,22 +241,20 @@ def _newton(b0, xs, active, max_iter, tol=NEWTON_TOL):
         # Iteration budget exhausted; one final tolerance check.
         idx = np.nonzero(active)[0]
         h, _ = _score_and_deriv(b[idx], xs[idx])
-        ok = np.isfinite(h) & (np.abs(h) < tol)
-        converged[idx[ok]] = True
-        failed[idx[~ok]] = True
-    return b, converged, failed, iterations
+        converged[idx] = np.isfinite(h) & (np.abs(h) < NEWTON_TOL)
+    return b, converged, iterations
 
 
 def _grid_rescue(xs):
-    """Bracket the first sign change of h on a log grid, bisect, then polish.
+    """Bracket the first sign change of h on a log grid starting at B_FLOOR.
 
-    Returns (b, converged, iterations) for the given rows; rows where no
-    bracket exists or the polish misses tolerance come back unconverged.
+    Returns (has, lo, hi): whether each row has a sign change, and the grid
+    cell [lo, hi] where it first occurs (meaningless where has is False).
     """
     m, n = xs.shape
-    hi = np.maximum(np.minimum(50.0, GRID_EXP_CAP / xs[:, -1]), 2.0 * B_FLOOR)
+    top = np.maximum(np.minimum(50.0, GRID_EXP_CAP / xs[:, -1]), 2.0 * B_FLOOR)
     t = np.linspace(0.0, 1.0, GRID_POINTS)
-    grid = B_FLOOR * (hi[:, None] / B_FLOOR) ** t[None, :]
+    grid = B_FLOOR * (top[:, None] / B_FLOOR) ** t[None, :]
     hvals = np.empty((m, GRID_POINTS))
     for j in range(GRID_POINTS):
         h, _ = _score_and_deriv(grid[:, j], xs)
@@ -262,39 +262,17 @@ def _grid_rescue(xs):
     finite = np.isfinite(hvals)
     sign = np.where(finite, np.sign(hvals), np.nan)
     flip = finite[:, :-1] & finite[:, 1:] & (sign[:, :-1] * sign[:, 1:] <= 0.0)
-    has = np.any(flip, axis=1)
     first = np.argmax(flip, axis=1)
-    lo = grid[np.arange(m), first]
-    up = grid[np.arange(m), first + 1]
-    h_lo = hvals[np.arange(m), first]
-    rows = np.nonzero(has)[0]
-    lo, up, h_lo = lo[rows], up[rows], h_lo[rows]
-    for _ in range(80):
-        mid = 0.5 * (lo + up)
-        h_mid, _ = _score_and_deriv(mid, xs[rows])
-        left = h_lo * h_mid <= 0.0
-        up = np.where(left, mid, up)
-        lo = np.where(left, lo, mid)
-        h_lo = np.where(left, h_lo, h_mid)
-    b = np.full(m, FALLBACK_B)
-    converged = np.zeros(m, dtype=bool)
-    iterations = np.zeros(m, dtype=np.int64)
-    if rows.size:
-        start = 0.5 * (lo + up)
-        b_pol, conv, _, iters = _newton(start, xs[rows], np.ones(rows.size, bool), 20)
-        ok = conv & (b_pol > B_FLOOR)
-        b[rows[ok]] = b_pol[ok]
-        converged[rows[ok]] = True
-        iterations[rows] = iters
-    return b, converged, iterations
+    rows = np.arange(m)
+    return np.any(flip, axis=1), grid[rows, first], grid[rows, first + 1]
 
 
 def fit_batch(x):
     """Fit every row of an (m, n) matrix; see FitBatch.
 
     Pipeline per row: pilot start -> Newton; on pilot failure, Newton
-    failure, overflow, or collapse onto the b=0 boundary -> grid rescue;
-    if that fails too -> fallback b=0.001 with the flag set.
+    failure, overflow, or collapse onto the b=0 boundary -> grid bracket ->
+    Newton inside it; if that fails too -> fallback b=0.001 with the flag set.
     """
     x = np.asarray(x, dtype=float)
     m, n = x.shape
@@ -308,17 +286,21 @@ def fit_batch(x):
             pilot = np.where(arg_ok, (2.0 * np.log(ratio)) / z, np.nan)
     start_ok = np.isfinite(pilot) & (pilot > 0.0)
     b = np.where(start_ok, pilot, 1.0)
-    b_fit, converged, _, iterations = _newton(b, xs, start_ok, NEWTON_MAX_ITER)
+    b_fit, converged, iterations = _newton(
+        b, xs, start_ok, np.zeros(m), np.full(m, np.inf)
+    )
     # Convergence onto the boundary root b=0 is not a fit.
-    boundary = converged & (b_fit <= B_FLOOR)
-    converged &= ~boundary
-    need_rescue = ~converged
-    if np.any(need_rescue):
-        rows = np.nonzero(need_rescue)[0]
-        b_g, conv_g, iter_g = _grid_rescue(xs[rows])
-        b_fit[rows] = b_g
-        converged[rows] = conv_g
-        iterations[rows] += iter_g
+    converged &= b_fit > B_FLOOR
+    if not np.all(converged):
+        rows = np.nonzero(~converged)[0]
+        has, lo, hi = _grid_rescue(xs[rows])
+        rows, lo, hi = rows[has], lo[has], hi[has]
+        b_r, conv_r, iter_r = _newton(
+            0.5 * (lo + hi), xs[rows], np.ones(rows.size, bool), lo, hi
+        )
+        b_fit[rows] = b_r
+        converged[rows] = conv_r
+        iterations[rows] += iter_r
     fallback = ~converged
     b_fit[fallback] = FALLBACK_B
     eta = 1.0 / np.mean(np.expm1(b_fit[:, None] * xs), axis=1)
