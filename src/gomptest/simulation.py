@@ -13,7 +13,10 @@ import io
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 from .bootstrap import DEFAULT_TESTS, _expand_tests, bootstrap_many
 from .distributions import AlternativeSpec, GompertzParams, _as_spec, alt_sample
@@ -185,35 +188,23 @@ def _cell_chunks(m, workers):
 
 
 def run_study(config, workers=1, progress=True):
-    """Run the full study grid; deterministic in config.seed for any workers."""
+    """Run the full study grid; deterministic in config.seed for any workers.
+
+    With workers > 1 one process pool serves every cell; otherwise the
+    chunks are mapped in-process.
+    """
     kinds = config.kinds()
     m, b = config.replications, config.bootstrap
     cells = []
     t_all = time.perf_counter()
-    for scenario in config.scenarios:
-        label = scenario_label(scenario)
-        for n in config.sizes:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for scenario, n in product(config.scenarios, config.sizes):
+            label = scenario_label(scenario)
             cell_seed = derive_key(config.seed, _fnv1a(label), n)
             t_cell = time.perf_counter()
-            chunks = _cell_chunks(m, workers)
-            if workers > 1 and len(chunks) > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    parts = list(
-                        pool.map(
-                            _run_chunk,
-                            *zip(
-                                *(
-                                    (scenario, n, kinds, b, config.alpha, cell_seed, lo, hi)
-                                    for lo, hi in chunks
-                                )
-                            ),
-                        )
-                    )
-            else:
-                parts = [
-                    _run_chunk(scenario, n, kinds, b, config.alpha, cell_seed, lo, hi)
-                    for lo, hi in chunks
-                ]
+            cell = partial(_run_chunk, scenario, n, kinds, b, config.alpha, cell_seed)
+            parts = run(cell, *zip(*_cell_chunks(m, workers)))
             rejections = {kind: 0 for kind in kinds}
             nf_fit = nf_boot = failures = 0
             for rej, nf1, nf2, bad in parts:

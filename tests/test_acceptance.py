@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from gomptest import (
     DEFAULT_A_GRID,
@@ -117,6 +118,7 @@ def _level_targets(stein1, stein2, ad, ks, cm, wa):
     }
 
 
+@pytest.mark.slow
 def test_criterion_3_null_rejection_rates_match_published_levels():
     config = SimulationConfig(
         scenarios=(GompertzParams(0.5, 1.0), GompertzParams(1.0, 1.0)),
@@ -152,6 +154,7 @@ def test_criterion_3_null_rejection_rates_match_published_levels():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion_4_power_against_alternatives_at_desk_scale():
     runs = (
         (AlternativeSpec("lognormal", sigma=0.5), 50, (1.0,)),

@@ -80,6 +80,26 @@ def test_study_deterministic_and_worker_invariant():
     assert _counts(r1) == _counts(r2) == _counts(r3)
 
 
+def test_study_makes_one_pool_per_run(monkeypatch):
+    import gomptest.simulation as simulation
+
+    pools = []
+
+    class CountingPool(simulation.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+    cfg = SimulationConfig(
+        scenarios=(GompertzParams(1.0, 1.0), AlternativeSpec("gamma", k=3)),
+        sizes=(15,), a_grid=(1.0,), tests=("ks",), **SMALL,
+    )
+    report = run_study(cfg, workers=2, progress=False)
+    assert len(report.cells) == 2
+    assert len(pools) == 1
+
+
 def test_cells_keyed_by_scenario_not_position():
     base = dict(sizes=(15,), a_grid=(1.0,), tests=("stein",), **SMALL)
     fwd = run_study(
