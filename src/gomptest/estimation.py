@@ -208,7 +208,7 @@ def _newton(b0, xs, active, lo, hi):
 
     Rows stay active until |h| < NEWTON_TOL or they fail (non-finite score,
     zero derivative, iteration budget). Step halving keeps each row's
-    iterates strictly inside its bracket lo < b and b <= hi (hi may be inf).
+    iterates inside its bracket, lo < b <= hi (hi may be inf).
     """
     m = xs.shape[0]
     b = b0.copy()
