@@ -4,136 +4,35 @@ The package fits GO(eta, b) by maximum likelihood, forms a
 characterisation-based statistic on the rescaled data plus the classical
 EDF statistics, calibrates them by parametric bootstrap, and wraps the
 whole thing in a Monte-Carlo power-study harness and a command line tool.
+
+Each module's __all__ is its public API; the package re-exports them all.
 """
 
-from .distributions import (
-    AlternativeSpec,
-    GompertzParams,
-    alt_pdf,
-    alt_sample,
-    as_sample,
-    gompertz_cdf,
-    gompertz_pdf,
-    gompertz_quantile,
-    gompertz_sample,
+from . import (
+    bootstrap,
+    distributions,
+    edf_tests,
+    estimation,
+    lifetable,
+    simulation,
+    stein_statistic,
 )
-from .estimation import (
-    FitResult,
-    PilotFailedError,
-    RescaledSample,
-    ScoreOverflowError,
-    fit_mle,
-    nelson_aalen,
-    pilot_from_cumhaz,
-    pilot_scale,
-    rescale,
-    score_h,
-)
-from .stein_statistic import (
-    MomentConditionError,
-    StatisticInput,
-    WeightParam,
-    delta_estimate,
-    stein_transform,
-    t_statistic_closed_form,
-    t_statistic_quadrature,
-    v_process,
-)
-from .edf_tests import (
-    EdfInput,
-    ad_statistic,
-    cm_statistic,
-    ks_statistic,
-    watson_statistic,
-)
-from .bootstrap import (
-    TestKind,
-    TestOutcome,
-    bootstrap_many,
-    bootstrap_replicates,
-    bootstrap_test,
-    empirical_quantile,
-)
-from .lifetable import (
-    LifeTable,
-    Pmf,
-    hazard_to_pmf,
-    pmf_to_hazard,
-    read_lifetable,
-    read_pmf,
-    sample_lifetimes,
-    truncate_pmf,
-    write_pmf,
-)
-from .simulation import (
-    DEFAULT_A_GRID,
-    CellResult,
-    SimulationConfig,
-    SimulationReport,
-    config_from_file,
-    parse_family,
-    report_to_csv,
-    run_study,
-    scenario_label,
-)
+from .distributions import *
+from .estimation import *
+from .stein_statistic import *
+from .edf_tests import *
+from .bootstrap import *
+from .lifetable import *
+from .simulation import *
 
 __all__ = [
-    "AlternativeSpec",
-    "GompertzParams",
-    "alt_pdf",
-    "alt_sample",
-    "as_sample",
-    "gompertz_cdf",
-    "gompertz_pdf",
-    "gompertz_quantile",
-    "gompertz_sample",
-    "FitResult",
-    "PilotFailedError",
-    "RescaledSample",
-    "ScoreOverflowError",
-    "fit_mle",
-    "nelson_aalen",
-    "pilot_from_cumhaz",
-    "pilot_scale",
-    "rescale",
-    "score_h",
-    "MomentConditionError",
-    "StatisticInput",
-    "WeightParam",
-    "delta_estimate",
-    "stein_transform",
-    "t_statistic_closed_form",
-    "t_statistic_quadrature",
-    "v_process",
-    "EdfInput",
-    "ad_statistic",
-    "cm_statistic",
-    "ks_statistic",
-    "watson_statistic",
-    "TestKind",
-    "TestOutcome",
-    "bootstrap_many",
-    "bootstrap_replicates",
-    "bootstrap_test",
-    "empirical_quantile",
-    "LifeTable",
-    "Pmf",
-    "hazard_to_pmf",
-    "pmf_to_hazard",
-    "read_lifetable",
-    "read_pmf",
-    "sample_lifetimes",
-    "truncate_pmf",
-    "write_pmf",
-    "DEFAULT_A_GRID",
-    "CellResult",
-    "SimulationConfig",
-    "SimulationReport",
-    "config_from_file",
-    "parse_family",
-    "report_to_csv",
-    "run_study",
-    "scenario_label",
+    *distributions.__all__,
+    *estimation.__all__,
+    *stein_statistic.__all__,
+    *edf_tests.__all__,
+    *bootstrap.__all__,
+    *lifetable.__all__,
+    *simulation.__all__,
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _gompertz_quantile_raw, as_sample
+from .distributions import _gompertz_quantile_raw, _positive_uniforms, as_sample
 from .edf_tests import EPS, _ad_rows, _cm_rows, _ks_rows, _wa_rows
 from .estimation import FitResult, fit_batch
 from .rng import substream
@@ -30,6 +30,7 @@ __all__ = [
     "TestOutcome",
     "bootstrap_test",
     "bootstrap_many",
+    "bootstrap_replicates",
     "empirical_quantile",
 ]
 
@@ -144,8 +145,7 @@ def bootstrap_replicates(eta_hat, n, kinds, B, seed):
 
     Returns (stats: {kind: (B,) array}, fallback_fraction).
     """
-    gen = substream(seed)
-    u = np.maximum(gen.random((B, n)), np.finfo(float).tiny)
+    u = _positive_uniforms(substream(seed), (B, n))
     xstar = _gompertz_quantile_raw(eta_hat, 1.0, u)
     fits = fit_batch(xstar)
     ys = fits.b[:, None] * fits.xs

@@ -7,8 +7,8 @@ randomness is seed-explicit and echoed in output headers. Exit codes:
 
 import argparse
 import csv
-import io
 import sys
+from contextlib import contextmanager
 
 from .bootstrap import DEFAULT_TESTS, _expand_tests, bootstrap_many
 from .distributions import alt_sample
@@ -32,20 +32,22 @@ from .simulation import (
 __all__ = ["main"]
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+@contextmanager
+def _output(path):
+    """The file at `path` opened for writing, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
 
 
 def _write_column(path, values, seed=None):
-    fh = _open_out(path)
-    try:
+    with _output(path) as fh:
         fh.write(f"# seed={seed}\n" if seed is not None else "")
         fh.write("value\n")
         for v in values:
             fh.write(f"{v:.15g}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 def cmd_fit(args):
@@ -73,33 +75,27 @@ def cmd_gof(args):
     )
     outcomes = bootstrap_many(x, kinds, B=args.bootstrap, alpha=args.alpha, seed=args.seed)
     first = outcomes[kinds[0]]
-    buf = io.StringIO()
-    buf.write(f"# seed={args.seed} n={x.size} B={args.bootstrap} alpha={args.alpha:g}\n")
-    buf.write(
-        f"# eta_hat={first.fit.eta_hat:.15g} b_hat={first.fit.b_hat:.15g} "
-        f"fallback_used={first.fit.fallback_used} "
-        f"notfound_boot={first.not_found_frequency_bootstrap:.15g}\n"
-    )
-    writer = csv.writer(buf)
-    writer.writerow(["test", "a", "statistic", "p_value", "critical_value", "reject"])
-    for kind in kinds:
-        out = outcomes[kind]
-        writer.writerow(
-            [
-                kind.name,
-                f"{kind.a:g}" if kind.a is not None else "NA",
-                f"{out.statistic:.15g}",
-                f"{out.p_value:.15g}",
-                f"{out.critical_value:.15g}",
-                int(out.reject),
-            ]
+    with _output(args.output) as fh:
+        fh.write(f"# seed={args.seed} n={x.size} B={args.bootstrap} alpha={args.alpha:g}\n")
+        fh.write(
+            f"# eta_hat={first.fit.eta_hat:.15g} b_hat={first.fit.b_hat:.15g} "
+            f"fallback_used={first.fit.fallback_used} "
+            f"notfound_boot={first.not_found_frequency_bootstrap:.15g}\n"
         )
-    fh = _open_out(args.output)
-    try:
-        fh.write(buf.getvalue())
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+        writer = csv.writer(fh)
+        writer.writerow(["test", "a", "statistic", "p_value", "critical_value", "reject"])
+        for kind in kinds:
+            out = outcomes[kind]
+            writer.writerow(
+                [
+                    kind.name,
+                    f"{kind.a:g}" if kind.a is not None else "NA",
+                    f"{out.statistic:.15g}",
+                    f"{out.p_value:.15g}",
+                    f"{out.critical_value:.15g}",
+                    int(out.reject),
+                ]
+            )
     return 0
 
 
@@ -107,13 +103,9 @@ def cmd_simulate(args):
     config = config_from_file(args.config)
     report = run_study(config, workers=args.workers, progress=True)
     text = report_to_csv(report)
-    fh = _open_out(args.output)
-    try:
+    with _output(args.output) as fh:
         fh.write(f"# seed={config.seed}\n")
         fh.write(text)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     print(
         f"[study] done: {len(report.cells)} cells in {report.seconds:.1f}s",
         file=sys.stderr,
@@ -170,7 +162,7 @@ def _build_parser():
     p_gof.add_argument("--input", required=True, help="single-column CSV of positive values")
     p_gof.add_argument("--output", default=None, help="write results CSV here (default stdout)")
     p_gof.add_argument("--test", default=",".join(DEFAULT_TESTS),
-                       help="comma list from {stein,ks,ad,cm,wa}")
+                       help=f"comma list from {{{','.join(DEFAULT_TESTS)}}}")
     p_gof.add_argument("--a", default=",".join(f"{a:g}" for a in DEFAULT_A_GRID),
                        help="comma list of weight parameters for the stein test")
     p_gof.add_argument("--bootstrap", type=int, default=500, metavar="B")

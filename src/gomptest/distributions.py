@@ -237,6 +237,7 @@ _ALIASES = {
 }
 
 
+@dataclass(frozen=True, init=False)
 class AlternativeSpec:
     """One of the study's distribution families with its parameters.
 
@@ -250,7 +251,8 @@ class AlternativeSpec:
     pow, sp, lf, mix, go) are accepted for the family name.
     """
 
-    __slots__ = ("family", "params")
+    family: str
+    params: dict
 
     def __init__(self, family, **params):
         name = _ALIASES.get(str(family).lower(), str(family).lower())
@@ -276,21 +278,8 @@ class AlternativeSpec:
         object.__setattr__(self, "family", name)
         object.__setattr__(self, "params", clean)
 
-    def __setattr__(self, *_):
-        raise AttributeError("AlternativeSpec is immutable")
-
-    def __reduce__(self):
-        # the immutable __setattr__ defeats default pickling; rebuild by ctor
-        return (_spec_from_state, (self.family, self.params))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlternativeSpec)
-            and self.family == other.family
-            and self.params == other.params
-        )
-
     def __hash__(self):
+        # params is a dict, so the generated hash would fail
         return hash((self.family, tuple(sorted(self.params.items()))))
 
     def __repr__(self):
@@ -301,10 +290,6 @@ class AlternativeSpec:
         """Compact text tag, e.g. 'gamma(3)' or 'gompertz(0.5,1)'."""
         args = ",".join(f"{v:g}" for v in self.params.values())
         return f"{self.family}({args})"
-
-
-def _spec_from_state(family, params):
-    return AlternativeSpec(family, **params)
 
 
 def _as_spec(dist):

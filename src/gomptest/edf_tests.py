@@ -7,7 +7,7 @@ Cramer-von Mises, Anderson-Darling and Watson. All four are invariant
 under scale changes of the raw data because the U values are.
 """
 
-import math
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
 EPS = 1e-15
 
 
+@dataclass(frozen=True, eq=False)
 class EdfInput:
     """Sorted, clipped probability-integral transforms U_(1) <= ... <= U_(n).
 
@@ -33,9 +34,12 @@ class EdfInput:
     null CDF upstream.
     """
 
-    __slots__ = ("u", "n", "clipped")
+    values: InitVar[np.ndarray]
+    u: np.ndarray = field(init=False, repr=False)
+    n: int = field(init=False)
+    clipped: bool = field(init=False)
 
-    def __init__(self, values):
+    def __post_init__(self, values):
         u = np.atleast_1d(np.asarray(values, dtype=float))
         if u.ndim != 1 or u.size < 1:
             raise ValueError("EdfInput needs a nonempty one-dimensional collection")
@@ -52,12 +56,6 @@ class EdfInput:
         """PIT of a rescaled sample through the unit-scale fitted null CDF."""
         p = GompertzParams(rescaled.fit.eta_hat, 1.0)
         return cls(gompertz_cdf(p, rescaled.values))
-
-    def __setattr__(self, *_):
-        raise AttributeError("EdfInput is immutable")
-
-    def __repr__(self):
-        return f"EdfInput(n={self.n}, clipped={self.clipped})"
 
 
 def _rows(values):

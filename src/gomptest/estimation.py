@@ -19,7 +19,6 @@ functions are the m=1 case of the same code path, which keeps scalar and
 batched results bitwise identical.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +84,8 @@ class RescaledSample:
 def nelson_aalen(sample, x):
     """Nelson-Aalen cumulative hazard: sum of 1/(n-j+1) over order stats <= x."""
     xs = np.sort(as_sample(sample))
-    n = xs.size
-    weights = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(n, 0, -1))))
     k = np.searchsorted(xs, np.asarray(x, dtype=float), side="right")
-    out = weights[k]
+    out = _cumhaz_steps(xs.size)[k]
     return out if out.ndim else float(out)
 
 
@@ -104,7 +101,7 @@ def pilot_from_cumhaz(z, lam_z, lam_half):
             "cumulative-hazard ratio has nonpositive log argument "
             f"(lam_z={lam_z!r}, lam_half={lam_half!r})"
         )
-    return (2.0 * math.log((lam_z - lam_half) / lam_half)) / z
+    return float(_pilot(*np.asarray((z, lam_z, lam_half), dtype=float)))
 
 
 def pilot_scale(sample):
@@ -190,17 +187,25 @@ def _score_and_deriv(b, xs):
     return h, hp
 
 
+def _cumhaz_steps(n):
+    # Nelson-Aalen value once k of n order statistics are passed, k = 0..n.
+    return np.concatenate(([0.0], np.cumsum(1.0 / np.arange(n, 0, -1))))
+
+
 def _pilot_ingredients(xs):
-    m, n = xs.shape
     z = np.quantile(xs, 0.9, axis=1)
-    weights = np.cumsum(1.0 / np.arange(n, 0, -1))
-    k_z = np.sum(xs <= z[:, None], axis=1)
-    k_half = np.sum(xs <= (0.5 * z)[:, None], axis=1)
-    lam_z = weights[np.maximum(k_z - 1, 0)]
-    lam_z = np.where(k_z > 0, lam_z, 0.0)
-    lam_half = weights[np.maximum(k_half - 1, 0)]
-    lam_half = np.where(k_half > 0, lam_half, 0.0)
+    steps = _cumhaz_steps(xs.shape[1])
+    lam_z = steps[np.sum(xs <= z[:, None], axis=1)]
+    lam_half = steps[np.sum(xs <= (0.5 * z)[:, None], axis=1)]
     return z, lam_z, lam_half
+
+
+def _pilot(z, lam_z, lam_half):
+    # Elementwise 2*log((lam_z - lam_half)/lam_half)/z; NaN where the log
+    # argument is not positive.
+    ok = (lam_half > 0.0) & (lam_z > lam_half)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(ok, (2.0 * np.log((lam_z - lam_half) / lam_half)) / z, np.nan)
 
 
 def _newton(b0, xs, active, lo, hi):
@@ -277,13 +282,7 @@ def fit_batch(x):
     x = np.asarray(x, dtype=float)
     m, n = x.shape
     xs = np.sort(x, axis=1)
-    pilot = np.full(m, np.nan)
-    if n >= 5:
-        z, lam_z, lam_half = _pilot_ingredients(xs)
-        arg_ok = (lam_half > 0.0) & (lam_z > lam_half)
-        ratio = np.where(arg_ok, (lam_z - lam_half) / np.where(arg_ok, lam_half, 1.0), np.nan)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pilot = np.where(arg_ok, (2.0 * np.log(ratio)) / z, np.nan)
+    pilot = _pilot(*_pilot_ingredients(xs)) if n >= 5 else np.full(m, np.nan)
     start_ok = np.isfinite(pilot) & (pilot > 0.0)
     b = np.where(start_ok, pilot, 1.0)
     b_fit, converged, iterations = _newton(

@@ -20,11 +20,10 @@ from itertools import product
 
 from .bootstrap import DEFAULT_TESTS, _expand_tests, bootstrap_many
 from .distributions import AlternativeSpec, GompertzParams, _as_spec, alt_sample
-from .rng import derive_key
+from .rng import _MASK64, derive_key
 
 __all__ = [
     "DEFAULT_A_GRID",
-    "DEFAULT_TESTS",
     "SimulationConfig",
     "CellResult",
     "SimulationReport",
@@ -40,8 +39,6 @@ DESK_REPLICATIONS = 1000
 DESK_BOOTSTRAP = 500
 FULL_REPLICATIONS = 10000
 FULL_BOOTSTRAP = 2000
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _fnv1a(text):

@@ -20,7 +20,7 @@ relative, which the test suite enforces on randomised inputs.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -65,6 +65,7 @@ def _weight_a(w):
     return WeightParam(w).a
 
 
+@dataclass(frozen=True, eq=False)
 class StatisticInput:
     """Rescaled sample Y_j = b_hat*X_j together with eta_hat.
 
@@ -73,13 +74,16 @@ class StatisticInput:
     such values only arise from fits that did not converge.
     """
 
-    __slots__ = ("values", "sorted_values", "eta_hat", "n")
+    values: np.ndarray = field(repr=False)
+    eta_hat: float
+    sorted_values: np.ndarray = field(init=False, repr=False)
+    n: int = field(init=False)
 
-    def __init__(self, values, eta_hat):
-        v = as_sample(values)
-        eta = float(eta_hat)
+    def __post_init__(self):
+        v = as_sample(self.values)
+        eta = float(self.eta_hat)
         if not (math.isfinite(eta) and eta > 0.0):
-            raise ValueError(f"eta_hat must be a positive real, got {eta_hat!r}")
+            raise ValueError(f"eta_hat must be a positive real, got {self.eta_hat!r}")
         if np.max(v) > Y_OVERFLOW:
             raise ValueError(
                 "rescaled values exceed 700; e^Y overflows "
@@ -94,12 +98,6 @@ class StatisticInput:
     def from_rescaled(cls, rescaled):
         """Build from estimation.rescale output."""
         return cls(rescaled.values, rescaled.fit.eta_hat)
-
-    def __setattr__(self, *_):
-        raise AttributeError("StatisticInput is immutable")
-
-    def __repr__(self):
-        return f"StatisticInput(n={self.n}, eta_hat={self.eta_hat:g})"
 
 
 def v_process(input, s):
@@ -154,7 +152,7 @@ _P2 = _moment_series_coeffs(2)
 
 
 def _horner(coeffs, t):
-    out = coeffs[-1] * (t**0 if np.ndim(t) else 1.0)
+    out = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         out = c + t * out
     return out

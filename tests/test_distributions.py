@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ def test_spec_aliases_and_label():
     assert AlternativeSpec("gamma", k=3).label() == "gamma(3)"
     assert AlternativeSpec("go", eta=0.5, b=1).label() == "gompertz(0.5,1)"
     assert hash(AlternativeSpec("w", k=2)) == hash(AlternativeSpec("weibull", k=2))
+
+
+def test_spec_is_frozen_and_pickles():
+    spec = AlternativeSpec("mix", p=0.25)
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and hash(back) == hash(spec) and back.label() == "mixture(0.25)"
+    assert spec != AlternativeSpec("mixture", p=0.5)
+    with pytest.raises(AttributeError):
+        spec.family = "gamma"
 
 
 _PDF_ORACLES = {

@@ -278,3 +278,29 @@ def test_rescale_preserves_order():
     resc = rescale(x, fit)
     assert np.array_equal(resc.values, fit.b_hat * x)
     assert resc.fit is fit
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        GompertzParams(1.0, 1.0),
+        GompertzParams(0.5, 2.0),
+        AlternativeSpec("gamma", k=1.0),
+        AlternativeSpec("lognormal", sigma=0.5),
+    ],
+    ids=["go(1,1)", "go(0.5,2)", "gamma(1)", "lognormal(0.5)"],
+)
+def test_pilot_scale_agrees_with_the_fit_pilot(dist):
+    # The single-sample pilot and the fit's pilot are one formula. fit_mle is
+    # row 0 of fit_batch (test_fit_batch_matches_scalar_bitwise), so one batch
+    # of 300 seeds per n stands in for 300 fit_mle calls.
+    for n in (5, 10, 30, 100, 1000):
+        xs = [alt_sample(dist, n, seed) for seed in range(300)]
+        b_pilot = fit_batch(np.stack(xs)).pilot
+        for seed, x in enumerate(xs):
+            try:
+                pilot = pilot_scale(x)
+            except PilotFailedError:
+                assert math.isnan(b_pilot[seed]), (n, seed)
+            else:
+                assert pilot == b_pilot[seed], (n, seed, pilot, b_pilot[seed])

@@ -1,8 +1,12 @@
 """The package surface: exported names and import hygiene of the sources."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import gomptest
+
+SOURCES = Path(gomptest.__file__).parent
 
 # Each public name under the module that defines it.
 PUBLIC = {
@@ -47,3 +51,23 @@ def test_package_exports_exactly_the_public_names():
         mod = importlib.import_module(f"gomptest.{module}")
         for name in names:
             assert getattr(gomptest, name) is getattr(mod, name), (module, name)
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_module_level_imports():
+    # __init__ imports only to re-export
+    sources = sorted(p for p in SOURCES.glob("*.py") if p.name != "__init__.py")
+    assert sources
+    assert [u for p in sources for u in _unused_imports(p)] == []
