@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from gomptest.distributions import (
 )
 from gomptest.estimation import fit_mle, rescale
 from gomptest.stein_statistic import (
+    _MOMENT_SERIES_CUT,
     MomentConditionError,
     StatisticInput,
     WeightParam,
@@ -24,6 +26,7 @@ from gomptest.stein_statistic import (
     t_statistic_quadrature,
     v_process,
 )
+from gomptest.stein_statistic import _exp_moments
 
 
 def brute_t(ys, eta, a):
@@ -81,6 +84,25 @@ def pair_sum_rows(ys, eta, a):
     diag = e_neg * (-2.0 * a * g * gy - 2.0 * g * g - 2.0 * a2 * gy + a2) / a3
     diag = diag + 2.0 * g * g / a3
     return (2.0 * np.sum(pair, axis=1) + np.sum(diag, axis=1)) / n
+
+
+def test_exp_moments_match_mpmath():
+    # E_m = int_0^width t^m e^(-a t) dt by 50-digit quadrature, independent of
+    # the series coefficients, the cut and the integration-by-parts ladder
+    cut = _MOMENT_SERIES_CUT
+    zs = np.concatenate((np.geomspace(1e-8, 50.0, 25), [cut - 1e-7, cut + 1e-7]))
+    for a in (0.1, 1.0, 10.0):
+        width = zs / a
+        assert np.any(a * width < cut) and np.any(a * width >= cut)
+        got = _exp_moments(a, width)
+        with mpmath.workdps(50):
+            for j, w in enumerate(width):
+                for m in range(3):
+                    want = mpmath.quad(
+                        lambda t: t**m * mpmath.exp(-a * t), [0, mpmath.mpf(float(w))]
+                    )
+                    rel = abs((mpmath.mpf(float(got[m][j])) - want) / want)
+                    assert rel < 1e-14, (a, float(w), m, float(rel))
 
 
 def _case(rng):
