@@ -134,9 +134,10 @@ def _statistic_rows(kinds, ys, eta):
         table = {"ks": _ks_rows, "cm": _cm_rows, "ad": _ad_rows, "wa": _wa_rows}
         for kind in edf_kinds:
             out[kind] = table[kind.name](u)
-    for kind in kinds:
-        if kind.name == "stein":
-            out[kind] = _t_closed_form_rows(ys, eta, kind.a)
+    stein_kinds = [k for k in kinds if k.name == "stein"]
+    if stein_kinds:
+        grid = _t_closed_form_rows(ys, eta, [k.a for k in stein_kinds])
+        out.update(zip(stein_kinds, grid))
     return out
 
 

@@ -19,6 +19,7 @@ functions are the m=1 case of the same code path, which keeps scalar and
 batched results bitwise identical.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,10 @@ def pilot_from_cumhaz(z, lam_z, lam_half):
 
     Computes (2*log((lam_z - lam_half)/lam_half))/z. With the exact Gompertz
     hazard eta*(e^(b x)-1) plugged in, the ratio is e^(b z / 2) and the
-    result is b.
+    result is b. z must be a positive finite number.
     """
+    if not (math.isfinite(z) and z > 0.0):
+        raise PilotFailedError(f"pilot needs a positive finite z, got {z!r}")
     if lam_half <= 0.0 or lam_z <= lam_half:
         raise PilotFailedError(
             "cumulative-hazard ratio has nonpositive log argument "

@@ -152,34 +152,45 @@ _P2 = _moment_series_coeffs(2)
 
 
 def _horner(coeffs, t):
-    out = coeffs[-1]
+    """sum_k coeffs[k] * t**k, updating one array it owns in place.
+
+    out *= t; out += c performs the same IEEE operations as c + t*out. For
+    a float t (the quadrature's scalar path) the operators rebind instead.
+    """
+    out = np.full_like(t, coeffs[-1]) if isinstance(t, np.ndarray) else coeffs[-1]
     for c in reversed(coeffs[:-1]):
-        out = c + t * out
+        out *= t
+        out += c
     return out
 
 
-def _exp_moments(a, width):
+def _exp_moments(a, width, width2, width3):
     """E_m = integral_0^width t^m e^(-a*t) dt for m = 0, 1, 2, elementwise.
 
-    Small a*width uses the power series of the scaled integral (the closed
-    expressions cancel catastrophically there); larger values use the
-    integration-by-parts ladder, which is then well conditioned.
+    width2 and width3 are width**2 and width**3, which do not depend on a.
+    Small z = a*width uses the power series of the scaled integral (the
+    closed expressions cancel catastrophically there); larger values use
+    the integration-by-parts ladder, which is then well conditioned. Each
+    branch is evaluated only on the elements that take it.
     """
     z = a * width
     small = z < _MOMENT_SERIES_CUT
-    t = np.where(small, -z, 0.0)
-    e0_s = width * _horner(_P0, t)
-    e1_s = width**2 * _horner(_P1, t)
-    e2_s = width**3 * _horner(_P2, t)
-    e = np.exp(-np.where(small, 0.0, z))
-    e0_c = -np.expm1(-z) / a
-    e1_c = (e0_c - width * e) / a
-    e2_c = (2.0 * e1_c - width**2 * e) / a
-    return (
-        np.where(small, e0_s, e0_c),
-        np.where(small, e1_s, e1_c),
-        np.where(small, e2_s, e2_c),
-    )
+    big = ~small
+    e0 = np.empty_like(width)
+    e1 = np.empty_like(width)
+    e2 = np.empty_like(width)
+    t = -z[small]
+    e0[small] = width[small] * _horner(_P0, t)
+    e1[small] = width2[small] * _horner(_P1, t)
+    e2[small] = width3[small] * _horner(_P2, t)
+    zb = z[big]
+    e = np.exp(-zb)
+    c0 = -np.expm1(-zb) / a
+    c1 = (c0 - width[big] * e) / a
+    e0[big] = c0
+    e1[big] = c1
+    e2[big] = (2.0 * c1 - width2[big] * e) / a
+    return e0, e1, e2
 
 
 def t_statistic_quadrature(input, w):
@@ -220,32 +231,46 @@ def t_statistic_quadrature(input, w):
     return n * math.fsum(pieces)
 
 
-def _t_closed_form_rows(ys, eta, a):
+def _t_closed_form_rows(ys, eta, a_grid):
     """Integration-free statistic over an (m, n) batch of sorted rows.
 
-    Same per-interval quadratic form as t_statistic_quadrature, vectorised
-    with exclusive prefix sums. All reductions are row-local, so the m=1
-    case is bitwise identical under any batching.
+    Returns a (len(a_grid), m) array: row i holds the statistic at
+    a = a_grid[i]. Same per-interval quadratic form as
+    t_statistic_quadrature, vectorised with exclusive prefix sums. The
+    a-free terms (prefix sums, the coefficients u^2, 2*u*beta, beta^2 and
+    the powers of the widths) are computed once per batch; each a adds its
+    exponential moments and the e^(-a*lo) weighting, with (m, n)
+    temporaries only. All reductions are row-local, so a row is bitwise
+    identical under any batching and any grid.
     """
     m, n = ys.shape
     g = eta[:, None] * np.exp(ys) - 1.0
-    gy = g * ys
     zero = np.zeros((m, 1))
-    head_gy = np.concatenate((zero, np.cumsum(gy, axis=1)), axis=1)
+    head_gy = np.concatenate((zero, np.cumsum(g * ys, axis=1)), axis=1)
     tail_g = np.concatenate((np.cumsum(g[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
     counts = np.arange(n + 1, dtype=float)[None, :]
     alpha = head_gy / n - counts / n
     beta = tail_g / n
-    knots = np.concatenate((zero, ys), axis=1)
-    lo = knots[:, :-1]
+    lo = np.concatenate((zero, ys[:, :-1]), axis=1)
     width = ys - lo
-    u = alpha[:, :-1] + beta[:, :-1] * lo
     be = beta[:, :-1]
-    e0, e1, e2 = _exp_moments(a, width)
-    quad_form = u * u * e0 + 2.0 * u * be * e1 + be * be * e2
-    interior = np.sum(np.exp(-a * lo) * quad_form, axis=1)
-    tail = np.exp(-a * ys[:, -1]) * alpha[:, -1] ** 2 / a
-    return n * (interior + tail)
+    u = alpha[:, :-1] + be * lo
+    uu = u * u
+    two_ub = 2.0 * u * be
+    bb = be * be
+    width2 = width**2
+    width3 = width**3
+    last = ys[:, -1]
+    tail_sq = alpha[:, -1] ** 2
+    del g, head_gy, tail_g, alpha, beta, be, u  # the a loop reads only the terms above
+    out = np.empty((len(a_grid), m))
+    for i, a in enumerate(a_grid):
+        e0, e1, e2 = _exp_moments(a, width, width2, width3)
+        quad_form = uu * e0 + two_ub * e1 + bb * e2
+        interior = np.sum(np.exp(-a * lo) * quad_form, axis=1)
+        tail = np.exp(-a * last) * tail_sq / a
+        out[i] = n * (interior + tail)
+    return out
 
 
 def t_statistic_closed_form(input, w):
@@ -253,7 +278,7 @@ def t_statistic_closed_form(input, w):
     a = _weight_a(w)
     ys = input.sorted_values[None, :]
     eta = np.asarray([input.eta_hat])
-    return float(_t_closed_form_rows(ys, eta, a)[0])
+    return float(_t_closed_form_rows(ys, eta, (a,))[0, 0])
 
 
 def delta_estimate(input, w, n):

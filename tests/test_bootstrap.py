@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gomptest import bootstrap
 from gomptest.bootstrap import (
     TestKind,
     TestOutcome,
@@ -20,6 +21,7 @@ from gomptest.edf_tests import (
     watson_statistic,
 )
 from gomptest.estimation import fit_mle, rescale
+from gomptest.simulation import DEFAULT_A_GRID
 from gomptest.stein_statistic import StatisticInput, WeightParam, t_statistic_closed_form
 
 ALL_KINDS = [
@@ -121,6 +123,23 @@ def test_edf_kinds_match_direct_statistics():
     assert many[TestKind("ad")].statistic == ad_statistic(inp)
     assert many[TestKind("cm")].statistic == cm_statistic(inp)
     assert many[TestKind("wa")].statistic == watson_statistic(inp)
+
+
+def test_stein_grid_is_one_call_per_batch(monkeypatch):
+    # the data and the refits each evaluate the whole a-grid in one call
+    grids = []
+    inner = bootstrap._t_closed_form_rows
+
+    def spy(ys, eta, a_grid):
+        grids.append(tuple(a_grid))
+        return inner(ys, eta, a_grid)
+
+    monkeypatch.setattr(bootstrap, "_t_closed_form_rows", spy)
+    kinds = [TestKind("stein", a) for a in DEFAULT_A_GRID]
+    kinds += [TestKind(name) for name in ("ks", "ad", "cm", "wa")]
+    x = gompertz_sample(GompertzParams(1.0, 1.0), 30, seed=5)
+    bootstrap_many(x, kinds, B=40, alpha=0.05, seed=2)
+    assert grids == [DEFAULT_A_GRID, DEFAULT_A_GRID]
 
 
 def test_outcome_fields():

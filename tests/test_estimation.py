@@ -72,6 +72,13 @@ def test_pilot_from_cumhaz_degenerate():
         pilot_from_cumhaz(1.0, 0.2, 0.5)
 
 
+def test_pilot_from_cumhaz_rejects_nonpositive_z():
+    # the hazard ratio is fine here; z = 0 would give inf and z < 0 a negative scale
+    for z in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(PilotFailedError):
+            pilot_from_cumhaz(z, 4.0, 1.0)
+
+
 def test_pilot_scale_matches_ingredients():
     x = gompertz_sample(GompertzParams(1.0, 2.0), 200, seed=7)
     z = float(np.quantile(x, 0.9))

@@ -15,18 +15,20 @@ from gomptest.distributions import (
     gompertz_sample,
 )
 from gomptest.estimation import fit_mle, rescale
+from gomptest.simulation import DEFAULT_A_GRID
 from gomptest.stein_statistic import (
     _MOMENT_SERIES_CUT,
     MomentConditionError,
     StatisticInput,
     WeightParam,
+    _exp_moments,
+    _t_closed_form_rows,
     delta_estimate,
     stein_transform,
     t_statistic_closed_form,
     t_statistic_quadrature,
     v_process,
 )
-from gomptest.stein_statistic import _exp_moments
 
 
 def brute_t(ys, eta, a):
@@ -94,7 +96,7 @@ def test_exp_moments_match_mpmath():
     for a in (0.1, 1.0, 10.0):
         width = zs / a
         assert np.any(a * width < cut) and np.any(a * width >= cut)
-        got = _exp_moments(a, width)
+        got = _exp_moments(a, width, width**2, width**3)
         with mpmath.workdps(50):
             for j, w in enumerate(width):
                 for m in range(3):
@@ -103,6 +105,33 @@ def test_exp_moments_match_mpmath():
                     )
                     rel = abs((mpmath.mpf(float(got[m][j])) - want) / want)
                     assert rel < 1e-14, (a, float(w), m, float(rel))
+
+
+def _assert_grid_bitwise(ys, eta, a_grid):
+    # row i of the grid is the one-a evaluation, and every batched row is
+    # its own m=1 evaluation, bit for bit
+    grid = _t_closed_form_rows(ys, eta, a_grid)
+    assert grid.shape == (len(a_grid), ys.shape[0])
+    for i, a in enumerate(a_grid):
+        assert np.array_equal(grid[i], _t_closed_form_rows(ys, eta, (a,))[0])
+    for r in range(ys.shape[0]):
+        single = _t_closed_form_rows(ys[r : r + 1], eta[r : r + 1], a_grid)
+        assert np.array_equal(grid[:, r], single[:, 0])
+
+
+def test_closed_form_grid_is_bitwise_the_per_a_evaluation():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 30, 100, 1000):
+        m = 6
+        ys = np.sort(rng.exponential(1.0, (m, n)), axis=1) + 1e-3
+        eta = rng.uniform(0.2, 3.0, m)
+        _assert_grid_bitwise(ys, eta, DEFAULT_A_GRID)
+        width = np.diff(ys, axis=1, prepend=0.0)
+        # every z = a*width on the series side, then every one on the closed side
+        assert np.all(0.1 * width < _MOMENT_SERIES_CUT)
+        a_big = 1.0 / float(np.min(width))
+        assert np.all(a_big * width >= _MOMENT_SERIES_CUT)
+        _assert_grid_bitwise(ys, eta, (0.1, a_big))
 
 
 def _case(rng):
