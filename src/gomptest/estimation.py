@@ -8,10 +8,13 @@ found by Newton-Raphson from a pilot start built out of Nelson-Aalen
 cumulative-hazard ratios. A row whose pilot fails, whose Newton run fails,
 or which lands on the trivial root b=0 is rescued: a log grid above
 B_FLOOR brackets the first sign change of h, and the same Newton iteration
-reruns from the bracket's midpoint, kept inside it. The shape follows as
+reruns from the bracket's midpoint, kept inside it. The grid is scanned
+column by column in order, computing h only, and each row leaves the scan
+at its first sign change. The shape follows as
 eta_hat = 1 / (mean(e^(b_hat x_j)) - 1). When no positive root can be
 found the scale falls back to the conventional small value 0.001 and the
-fit is flagged.
+fit is flagged. A fit whose eta_hat is not positive and finite (e^(b x)
+overflowed) raises ScoreOverflowError when it is read as a FitResult.
 
 Everything is implemented over (m, n) batches of samples (axis 1 = the
 sample) so that bootstrap refits stay vectorised; the public single-sample
@@ -125,7 +128,7 @@ def score_h(b, sample):
     if b <= 0.0:
         raise ValueError("score is defined for b > 0")
     xs = np.sort(as_sample(sample))[None, :]
-    h, _ = _score_and_deriv(np.asarray([float(b)]), xs)
+    h = _score_rows(np.asarray([float(b)]), xs, np.mean(xs, axis=1), np.empty_like(xs))
     if not np.isfinite(h[0]):
         raise ScoreOverflowError(f"e^(b*x) overflows at b={b!r}")
     return float(h[0])
@@ -165,14 +168,23 @@ class FitBatch:
     xs: np.ndarray
 
     def result(self, i):
+        """Row i as a FitResult; raises ScoreOverflowError unless eta is positive and finite."""
+        eta, b = float(self.eta[i]), float(self.b[i])
+        if not (math.isfinite(eta) and eta > 0.0):
+            raise ScoreOverflowError(f"e^(b*x) overflows at b={b!r}, giving eta_hat={eta!r}")
         return FitResult(
-            eta_hat=float(self.eta[i]),
-            b_hat=float(self.b[i]),
+            eta_hat=eta,
+            b_hat=b,
             b_pilot=float(self.pilot[i]),
             converged=bool(self.converged[i]),
             fallback_used=bool(self.fallback[i]),
             iterations=int(self.iterations[i]),
         )
+
+
+def _h(b, xbar, m1, s1):
+    # The score from the row means xbar, m1 = mean(e^(b x)), s1 = mean(x e^(b x)).
+    return (m1 - 1.0) * (b * xbar + 1.0) - b * s1
 
 
 def _score_and_deriv(b, xs):
@@ -185,9 +197,21 @@ def _score_and_deriv(b, xs):
         s1 = np.mean(xs * e, axis=1)
         s2 = np.mean(xs * xs * e, axis=1)
         xbar = np.mean(xs, axis=1)
-        h = (m1 - 1.0) * (b * xbar + 1.0) - b * s1
+        h = _h(b, xbar, m1, s1)
         hp = b * xbar * s1 + (m1 - 1.0) * xbar - b * s2
     return h, hp
+
+
+def _score_rows(b, xs, xbar, e):
+    # h alone, bitwise equal to _score_and_deriv's; xbar is the row means of
+    # xs and e an (m, n) scratch buffer that is overwritten.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(b[:, None], xs, out=e)
+        np.exp(e, out=e)
+        m1 = np.mean(e, axis=1)
+        e *= xs
+        s1 = np.mean(e, axis=1)
+        return _h(b, xbar, m1, s1)
 
 
 def _cumhaz_steps(n):
@@ -257,22 +281,33 @@ def _grid_rescue(xs):
     """Bracket the first sign change of h on a log grid starting at B_FLOOR.
 
     Returns (has, lo, hi): whether each row has a sign change, and the grid
-    cell [lo, hi] where it first occurs (meaningless where has is False).
+    cell [lo, hi] where it first occurs (the first cell where has is False).
+    A sign change is two adjacent finite values whose signs multiply to <= 0.
+    The columns are scanned in order and a row stops at its first sign
+    change, so a row that flips in cell k costs k + 2 evaluations of h.
     """
     m, n = xs.shape
     top = np.maximum(np.minimum(50.0, GRID_EXP_CAP / xs[:, -1]), 2.0 * B_FLOOR)
     t = np.linspace(0.0, 1.0, GRID_POINTS)
     grid = B_FLOOR * (top[:, None] / B_FLOOR) ** t[None, :]
-    hvals = np.empty((m, GRID_POINTS))
+    first = np.full(m, -1)
+    idx, ys, xbar = np.arange(m), xs, np.mean(xs, axis=1)
+    e = np.empty((m, n))
     for j in range(GRID_POINTS):
-        h, _ = _score_and_deriv(grid[:, j], xs)
-        hvals[:, j] = h
-    finite = np.isfinite(hvals)
-    sign = np.where(finite, np.sign(hvals), np.nan)
-    flip = finite[:, :-1] & finite[:, 1:] & (sign[:, :-1] * sign[:, 1:] <= 0.0)
-    first = np.argmax(flip, axis=1)
+        h = _score_rows(grid[idx, j], ys, xbar, e[: idx.size])
+        if j:
+            flip = np.isfinite(prev) & np.isfinite(h) & (np.sign(prev) * np.sign(h) <= 0.0)
+            if np.any(flip):
+                first[idx[flip]] = j - 1
+                stay = ~flip
+                idx, ys, xbar, h = idx[stay], ys[stay], xbar[stay], h[stay]
+                if not idx.size:
+                    break
+        prev = h
+    has = first >= 0
+    cell = np.where(has, first, 0)
     rows = np.arange(m)
-    return np.any(flip, axis=1), grid[rows, first], grid[rows, first + 1]
+    return has, grid[rows, cell], grid[rows, cell + 1]
 
 
 def fit_batch(x):
@@ -305,7 +340,8 @@ def fit_batch(x):
         iterations[rows] += iter_r
     fallback = ~converged
     b_fit[fallback] = FALLBACK_B
-    eta = 1.0 / np.mean(np.expm1(b_fit[:, None] * xs), axis=1)
+    with np.errstate(over="ignore"):
+        eta = 1.0 / np.mean(np.expm1(b_fit[:, None] * xs), axis=1)
     return FitBatch(
         eta=eta,
         b=b_fit,

@@ -188,8 +188,10 @@ def run_study(config, workers=1, progress=True):
     """Run the full study grid; deterministic in config.seed for any workers.
 
     With workers > 1 one process pool serves every cell; otherwise the
-    chunks are mapped in-process.
+    chunks are mapped in-process. Raises ValueError when workers < 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     kinds = config.kinds()
     m, b = config.replications, config.bootstrap
     cells = []

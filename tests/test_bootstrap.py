@@ -20,7 +20,7 @@ from gomptest.edf_tests import (
     ks_statistic,
     watson_statistic,
 )
-from gomptest.estimation import fit_mle, rescale
+from gomptest.estimation import ScoreOverflowError, fit_mle, rescale
 from gomptest.simulation import DEFAULT_A_GRID
 from gomptest.stein_statistic import StatisticInput, WeightParam, t_statistic_closed_form
 
@@ -153,6 +153,14 @@ def test_outcome_fields():
     assert out.fit.converged in (True, False)
     with pytest.raises(Exception):
         out.p_value = 0.5
+
+
+def test_data_fit_overflow_raises():
+    # eta_hat of the data fit overflows to 0 at the fallback scale; the
+    # bootstrap must not calibrate statistics of a fit that does not exist
+    x = alt_sample(AlternativeSpec("gamma", k=1.0), 30, seed=0) * 1e6
+    with pytest.raises(ScoreOverflowError):
+        bootstrap_many(x, ALL_KINDS, B=20, alpha=0.05, seed=1)
 
 
 def test_power_against_far_alternative():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gomptest.cli import main
-from gomptest.distributions import GompertzParams, gompertz_sample
+from gomptest.distributions import AlternativeSpec, GompertzParams, alt_sample, gompertz_sample
 
 
 def _write_sample(path, n=80, seed=7, eta=1.0, b=1.0):
@@ -72,6 +72,17 @@ def test_gof_output_and_determinism(tmp_path, capsys):
     for r in body:
         assert 0.0 <= float(r[3]) <= 1.0
         assert r[5] in ("0", "1")
+
+
+def test_gof_fit_overflow_exits_1(tmp_path, capsys):
+    # a data fit whose eta_hat overflows is a numeric failure, not "not rejected"
+    data = tmp_path / "x.csv"
+    x = alt_sample(AlternativeSpec("gamma", k=1.0), 30, seed=0) * 1e6
+    data.write_text("value\n" + "".join(f"{v:.15g}\n" for v in x))
+    out = tmp_path / "out.csv"
+    assert main(["gof", "--input", str(data), "--bootstrap", "20", "--output", str(out)]) == 1
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gof_writes_file(tmp_path, capsys):
@@ -181,4 +192,8 @@ def test_simulate_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("scenarios = gompertz eta=1 b=1\nbogus = 1\n")
     assert main(["simulate", "--config", str(bad)]) == 2
+    good = tmp_path / "good.cfg"
+    good.write_text("scenarios = gompertz eta=1 b=1\nn = 15\ntests = ks\nm = 2\nb = 10\n")
+    assert main(["simulate", "--config", str(good), "--workers", "-3"]) == 2
+    assert main(["simulate", "--config", str(good), "--workers", "0"]) == 2
     capsys.readouterr()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from gomptest.distributions import (
     gompertz_pdf,
     gompertz_sample,
 )
+from gomptest import estimation
 from gomptest.estimation import (
     B_FLOOR,
+    GRID_EXP_CAP,
+    GRID_POINTS,
     NEWTON_TOL,
     FitResult,
     PilotFailedError,
@@ -247,12 +251,127 @@ def test_fit_verdicts_are_pinned(case):
         assert abs(score_h(fits.b[i], rows[i])) < NEWTON_TOL
 
 
+def _full_grid_flips(xs):
+    # Reference: h at all GRID_POINTS columns through _score_and_deriv, then
+    # every cell whose two ends are finite with signs multiplying to <= 0.
+    m = xs.shape[0]
+    top = np.maximum(np.minimum(50.0, GRID_EXP_CAP / xs[:, -1]), 2.0 * B_FLOOR)
+    t = np.linspace(0.0, 1.0, GRID_POINTS)
+    grid = B_FLOOR * (top[:, None] / B_FLOOR) ** t[None, :]
+    hvals = np.empty((m, GRID_POINTS))
+    for j in range(GRID_POINTS):
+        h, _ = estimation._score_and_deriv(grid[:, j], xs)
+        hvals[:, j] = h
+    finite = np.isfinite(hvals)
+    sign = np.where(finite, np.sign(hvals), np.nan)
+    return grid, finite[:, :-1] & finite[:, 1:] & (sign[:, :-1] * sign[:, 1:] <= 0.0)
+
+
+def _grid_rescue_full(xs):
+    grid, flip = _full_grid_flips(xs)
+    first = np.argmax(flip, axis=1)
+    rows = np.arange(xs.shape[0])
+    return np.any(flip, axis=1), grid[rows, first], grid[rows, first + 1]
+
+
+def _grid_rows(rows):
+    # The sorted rows that fit_batch hands to the grid rescue.
+    seen = []
+    inner = estimation._grid_rescue
+
+    def spy(xs):
+        seen.append(xs)
+        return inner(xs)
+
+    estimation._grid_rescue = spy
+    try:
+        fit_batch(np.stack(rows))
+    finally:
+        estimation._grid_rescue = inner
+    return seen[0]
+
+
+_GRID_CASES = {
+    "boundary_refits_n1000": lambda: np.sort(np.stack(_boundary_refits()[:40]), axis=1),
+    "go_n100_rescued": lambda: _grid_rows(
+        [gompertz_sample(GompertzParams(1.0, 1.0), 100, seed=s) for s in range(300)]
+    ),
+    "gamma1_n30": lambda: np.sort(
+        np.stack([alt_sample(AlternativeSpec("gamma", k=1.0), 30, seed=s) for s in range(50)]),
+        axis=1,
+    ),
+    "gamma1_n30_times_1e9": lambda: 1e9 * _GRID_CASES["gamma1_n30"](),
+    "go_n4_no_pilot": lambda: _grid_rows(
+        [gompertz_sample(GompertzParams(1.0, 1.0), 4, seed=s) for s in range(50)]
+    ),
+    "single_row": lambda: _GRID_CASES["go_n100_rescued"]()[:1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRID_CASES))
+def test_grid_scan_matches_full_grid(case):
+    xs = _GRID_CASES[case]()
+    assert xs.shape[0] > 0
+    has, lo, hi = estimation._grid_rescue(xs)
+    ref_has, ref_lo, ref_hi = _grid_rescue_full(xs)
+    assert np.array_equal(has, ref_has)
+    assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes()
+    if case == "gamma1_n30_times_1e9":
+        # every row overflows somewhere on the grid and never changes sign
+        _, flip = _full_grid_flips(xs)
+        assert not flip.any() and not has.any()
+
+
+def test_grid_scan_stops_each_row_at_its_first_sign_change(monkeypatch):
+    # A row that first flips in cell k costs k + 2 evaluations of h, a row
+    # that never flips all GRID_POINTS; the full grid would cost
+    # GRID_POINTS for every row.
+    xs = _GRID_CASES["boundary_refits_n1000"]()
+    _, flip = _full_grid_flips(xs)
+    has, first = flip.any(axis=1), np.argmax(flip, axis=1)
+    assert has.any() and not has.all() and np.any(has & (first == 0))
+    assert np.any(first > GRID_POINTS // 2)
+    evaluated = []
+    inner = estimation._score_rows
+
+    def spy(b, xs, xbar, e):
+        evaluated.append(b.size)
+        return inner(b, xs, xbar, e)
+
+    monkeypatch.setattr(estimation, "_score_rows", spy)
+    estimation._grid_rescue(xs)
+    expected = int(np.sum(np.where(has, first + 2, GRID_POINTS)))
+    assert sum(evaluated) == expected < GRID_POINTS * xs.shape[0]
+
+
+def test_score_h_matches_the_batched_score():
+    x = gompertz_sample(GompertzParams(1.0, 1.0), 50, seed=8)
+    xs = np.sort(x)[None, :]
+    for b in (0.01, 0.5, 1.0, 3.0):
+        h, _ = estimation._score_and_deriv(np.array([b]), xs)
+        assert score_h(b, x) == h[0]
+
+
 def test_fallback_path():
     x = alt_sample(AlternativeSpec("gamma", k=1), 30, seed=FALLBACK_SEED)
     fit = fit_mle(x)
     assert fit.fallback_used and not fit.converged
     assert fit.b_hat == 0.001
     assert fit.eta_hat == 1.0 / np.mean(np.expm1(0.001 * x))
+
+
+def test_fallback_eta_overflow_raises():
+    # The fallback scale 0.001 is absolute: at data values near 1e6
+    # e^(0.001 x) overflows, the mean is inf and eta would come out 0.
+    x = alt_sample(AlternativeSpec("gamma", k=1.0), 30, seed=0) * 1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = fit_batch(x[None, :])
+    assert batch.fallback[0] and batch.eta[0] == 0.0
+    with pytest.raises(ScoreOverflowError):
+        batch.result(0)
+    with pytest.raises(ScoreOverflowError):
+        fit_mle(x)
 
 
 def test_converged_iff_not_fallback():

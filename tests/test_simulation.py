@@ -61,6 +61,13 @@ def test_config_validation():
         SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(20,), replications=0)
 
 
+def test_run_study_rejects_fewer_than_one_worker():
+    cfg = SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(15,), tests=("ks",), **SMALL)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            run_study(cfg, workers=workers, progress=False)
+
+
 def test_config_kind_expansion():
     cfg = SimulationConfig(
         scenarios=(GompertzParams(1, 1),), sizes=(20,), a_grid=(0.5, 2.0),
