@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _gompertz_quantile_raw, _positive_uniforms, as_sample
+from .distributions import _gompertz_quantile_raw, _positive_uniforms
 from .edf_tests import EPS, _ad_rows, _cm_rows, _ks_rows, _wa_rows
-from .estimation import FitResult, fit_batch
+from .estimation import FitResult, _fittable, fit_batch
 from .rng import substream
 from .stein_statistic import WeightParam, _t_closed_form_rows
 
@@ -123,8 +123,9 @@ def empirical_quantile(values, q):
     return float(v[max(k, 1) - 1])
 
 
-def _statistic_rows(kinds, ys, eta):
-    """Evaluate every requested kind on (m, n) sorted rescaled rows."""
+def _statistic_rows(kinds, fits):
+    """Evaluate every requested kind on the sorted rescaled rows b*xs of a FitBatch."""
+    ys, eta = fits.b[:, None] * fits.xs, fits.eta
     out = {}
     edf_kinds = [k for k in kinds if k.name != "stein"]
     if edf_kinds:
@@ -149,8 +150,7 @@ def bootstrap_replicates(eta_hat, n, kinds, B, seed):
     u = _positive_uniforms(substream(seed), (B, n))
     xstar = _gompertz_quantile_raw(eta_hat, 1.0, u)
     fits = fit_batch(xstar)
-    ys = fits.b[:, None] * fits.xs
-    return _statistic_rows(kinds, ys, fits.eta), float(np.mean(fits.fallback))
+    return _statistic_rows(kinds, fits), float(np.mean(fits.fallback))
 
 
 def bootstrap_many(sample, kinds, B, alpha, seed):
@@ -160,7 +160,7 @@ def bootstrap_many(sample, kinds, B, alpha, seed):
     not depend on the kind), so adding kinds costs only the extra statistic
     evaluations. Returns {kind: TestOutcome}.
     """
-    x = as_sample(sample)
+    x = _fittable(sample)
     kinds = list(kinds)
     if len(set(kinds)) != len(kinds):
         raise ValueError("duplicate test kinds")
@@ -170,15 +170,10 @@ def bootstrap_many(sample, kinds, B, alpha, seed):
         raise ValueError(f"B must be at least 1, got {B}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if x.size < 2:
-        raise ValueError("bootstrap test needs at least 2 observations")
-    if np.all(x == x[0]):
-        raise ValueError("degenerate sample: all values identical")
 
     fits = fit_batch(x[None, :])
     fit = fits.result(0)
-    ys_data = fits.b[:, None] * fits.xs
-    data_stats = _statistic_rows(kinds, ys_data, fits.eta)
+    data_stats = _statistic_rows(kinds, fits)
 
     star_stats, nf_boot = bootstrap_replicates(fit.eta_hat, x.size, kinds, B, seed)
 

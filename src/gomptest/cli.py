@@ -64,10 +64,6 @@ def cmd_fit(args):
 
 
 def cmd_gof(args):
-    if args.bootstrap < 1:
-        raise ValueError("--bootstrap must be >= 1")
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError("--alpha must lie strictly inside (0, 1)")
     x = _read_rows(args.input)
     kinds = _expand_tests(
         [t for t in args.test.split(",") if t.strip()],
@@ -114,8 +110,6 @@ def cmd_simulate(args):
 
 
 def cmd_lifetable(args):
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     table = read_lifetable(args.input)
     pmf = hazard_to_pmf(table)
     if args.truncate is not None:
@@ -139,8 +133,6 @@ def cmd_sample(args):
             tokens.append(tok)
     if n is None:
         raise ValueError("sample size is required (n=... or --n)")
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
     seed = 0 if seed is None else seed
     values = alt_sample(parse_family(" ".join(tokens)), n, seed)
     _write_column(args.output, values, seed=seed)

@@ -134,15 +134,19 @@ def score_h(b, sample):
     return float(h[0])
 
 
-def fit_mle(sample):
-    """Fit (eta, b) by maximum likelihood; see the module docstring."""
+def _fittable(sample):
+    """The sample as an array, checked to have at least 2 distinct values."""
     x = as_sample(sample)
     if x.size < 2:
         raise ValueError("fit needs at least 2 observations")
     if np.all(x == x[0]):
         raise ValueError("degenerate sample: all values identical")
-    batch = fit_batch(x[None, :])
-    return batch.result(0)
+    return x
+
+
+def fit_mle(sample):
+    """Fit (eta, b) by maximum likelihood; see the module docstring."""
+    return fit_batch(_fittable(sample)[None, :]).result(0)
 
 
 def rescale(sample, fit):

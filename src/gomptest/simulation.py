@@ -10,6 +10,7 @@ reductions are integer counts.
 
 import csv
 import io
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -17,6 +18,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+
+import numpy as np
 
 from .bootstrap import DEFAULT_TESTS, _expand_tests, bootstrap_many
 from .distributions import AlternativeSpec, GompertzParams, _as_spec, alt_sample
@@ -58,7 +61,8 @@ def parse_family(text):
     """Parse 'family key=value ...' into GompertzParams or AlternativeSpec.
 
     Examples: 'gompertz eta=1 b=1', 'gamma k=3', 'ln sigma=0.5'. Aliases
-    (go, ln, ig, w, u, pow, sp, lf, mix) are accepted.
+    (go, ln, ig, w, u, pow, sp, lf, mix) are accepted; a repeated key raises
+    ValueError.
     """
     tokens = str(text).split()
     if not tokens:
@@ -68,6 +72,8 @@ def parse_family(text):
         key, sep, val = tok.partition("=")
         if not sep or not key or not val:
             raise ValueError(f"expected key=value, got {tok!r} in {text!r}")
+        if key in params:
+            raise ValueError(f"repeated key {key!r} in {text!r}")
         try:
             params[key] = float(val)
         except ValueError:
@@ -126,7 +132,8 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Counts for one (scenario, n) cell; rates divide by the cell's M (and B)."""
+    """Counts for one (scenario, n) cell; rates divide by the replicates that
+    did not fail, M - failures (times B), and are NaN when all of them failed."""
 
     scenario: str
     n: int
@@ -138,14 +145,18 @@ class CellResult:
     failures: int
     seconds: float
 
+    def _rate(self, count, per=1):
+        valid = (self.replications - self.failures) * per
+        return count / valid if valid else math.nan
+
     def rejection_rate(self, kind):
-        return self.rejections[kind] / self.replications
+        return self._rate(self.rejections[kind])
 
     def not_found_fit_rate(self):
-        return self.not_found_fit / self.replications
+        return self._rate(self.not_found_fit)
 
     def not_found_boot_rate(self):
-        return self.not_found_boot / (self.replications * self.bootstrap)
+        return self._rate(self.not_found_boot, self.bootstrap)
 
 
 @dataclass(frozen=True)
@@ -156,9 +167,9 @@ class SimulationReport:
 
 
 def _run_chunk(scenario, n, kinds, B, alpha, cell_seed, start, stop):
-    """Replicates [start, stop) of one cell; returns pure integer counts."""
-    rejections = {kind: 0 for kind in kinds}
-    nf_fit = nf_boot = failures = 0
+    """Replicates [start, stop) of one cell as one integer tally: rejections
+    per kind, then data-fit fallbacks, bootstrap refit fallbacks, failures."""
+    tally = np.zeros(len(kinds) + 3, dtype=np.int64)
     for i in range(start, stop):
         x = alt_sample(scenario, n, derive_key(cell_seed, i, 0))
         try:
@@ -166,15 +177,13 @@ def _run_chunk(scenario, n, kinds, B, alpha, cell_seed, start, stop):
                 x, kinds, B=B, alpha=alpha, seed=derive_key(cell_seed, i, 1)
             )
         except (ValueError, ArithmeticError):
-            failures += 1
+            tally[-1] += 1
             continue
         first = outcomes[kinds[0]]
-        nf_fit += int(first.fit.fallback_used)
         # frequency is k/B for integer k; recover the count exactly
-        nf_boot += int(round(first.not_found_frequency_bootstrap * B))
-        for kind in kinds:
-            rejections[kind] += int(outcomes[kind].reject)
-    return rejections, nf_fit, nf_boot, failures
+        nf_boot = round(first.not_found_frequency_bootstrap * B)
+        tally[:-1] += [*(outcomes[k].reject for k in kinds), first.fit.fallback_used, nf_boot]
+    return tally
 
 
 def _cell_chunks(m, workers):
@@ -202,36 +211,27 @@ def run_study(config, workers=1, progress=True):
             label = scenario_label(scenario)
             cell_seed = derive_key(config.seed, _fnv1a(label), n)
             t_cell = time.perf_counter()
-            cell = partial(_run_chunk, scenario, n, kinds, b, config.alpha, cell_seed)
-            parts = run(cell, *zip(*_cell_chunks(m, workers)))
-            rejections = {kind: 0 for kind in kinds}
-            nf_fit = nf_boot = failures = 0
-            for rej, nf1, nf2, bad in parts:
-                for kind in kinds:
-                    rejections[kind] += rej[kind]
-                nf_fit += nf1
-                nf_boot += nf2
-                failures += bad
-            seconds = time.perf_counter() - t_cell
-            cells.append(
-                CellResult(
-                    scenario=label,
-                    n=n,
-                    replications=m,
-                    bootstrap=b,
-                    rejections=rejections,
-                    not_found_fit=nf_fit,
-                    not_found_boot=nf_boot,
-                    failures=failures,
-                    seconds=seconds,
-                )
+            chunk = partial(_run_chunk, scenario, n, kinds, b, config.alpha, cell_seed)
+            tally = sum(run(chunk, *zip(*_cell_chunks(m, workers))))
+            *rejected, nf_fit, nf_boot, failures = map(int, tally)
+            cell = CellResult(
+                scenario=label,
+                n=n,
+                replications=m,
+                bootstrap=b,
+                rejections=dict(zip(kinds, rejected)),
+                not_found_fit=nf_fit,
+                not_found_boot=nf_boot,
+                failures=failures,
+                seconds=time.perf_counter() - t_cell,
             )
+            cells.append(cell)
             if progress:
-                top = max(rejections.values()) / m if m else 0.0
+                top = max(map(cell.rejection_rate, kinds))
                 print(
                     f"[study] {label} n={n}: M={m} B={b} "
-                    f"max_rate={top:.3f} nf_fit={nf_fit / m:.3f} "
-                    f"failures={failures} ({seconds:.1f}s)",
+                    f"max_rate={top:.3f} nf_fit={cell.not_found_fit_rate():.3f} "
+                    f"failures={failures} ({cell.seconds:.1f}s)",
                     file=sys.stderr,
                     flush=True,
                 )
@@ -263,63 +263,57 @@ def report_to_csv(report):
     return buf.getvalue()
 
 
-_CONFIG_KEYS = {
-    "scenarios",
-    "sizes",
-    "n",
-    "a",
-    "tests",
-    "alpha",
-    "replications",
-    "m",
-    "bootstrap",
-    "b",
-    "seed",
-    "full_scale",
+# Each config-file key and the SimulationConfig field it sets; full_scale is
+# the one key that is not a field.
+_CONFIG_FIELDS = {
+    "scenarios": "scenarios", "sizes": "sizes", "n": "sizes", "a": "a_grid",
+    "tests": "tests", "alpha": "alpha", "replications": "replications",
+    "m": "replications", "bootstrap": "bootstrap", "b": "bootstrap",
+    "seed": "seed", "full_scale": "full_scale",
+}
+_LIST_SEPARATORS = {"scenarios": ";", "sizes": ",", "a_grid": ",", "tests": ","}
+_FLAG_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
 }
 
 
 def config_from_file(path):
-    """Parse a flat key=value study config.
+    """Parse a flat key=value study config into a SimulationConfig.
 
     Keys: scenarios (';'-separated 'family key=value ...' specs), sizes (or
     n, comma-separated), a (comma-separated grid), tests (comma-separated
     names), alpha, replications (or m), bootstrap (or b), seed, full_scale
-    (true/false; lifts M and B to the full study scale unless given
-    explicitly). '#' starts a comment.
+    (1/true/yes/on or 0/false/no/off, any case; lifts M and B to the full
+    study scale unless given explicitly). Each setting may be given once,
+    under either spelling. Unset fields take SimulationConfig's defaults,
+    which also converts and checks every value. '#' starts a comment.
     """
-    kv = {}
+    fields = {}
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, val = line.partition("=")
-            key = key.strip().lower()
-            if not sep or key not in _CONFIG_KEYS:
+            field = _CONFIG_FIELDS.get(key.strip().lower())
+            if not sep or field is None:
                 raise ValueError(f"bad config line: {raw.rstrip()!r}")
-            kv[key] = val.strip()
-    if "scenarios" not in kv:
+            if field in fields:
+                raise ValueError(f"config sets {field} twice: {raw.rstrip()!r}")
+            val = val.strip()
+            if field in _LIST_SEPARATORS:
+                val = tuple(p.strip() for p in val.split(_LIST_SEPARATORS[field]) if p.strip())
+            fields[field] = val
+    if "scenarios" not in fields:
         raise ValueError("config must set scenarios=")
-    if "sizes" not in kv and "n" not in kv:
+    if "sizes" not in fields:
         raise ValueError("config must set sizes= (or n=)")
-    scenarios = tuple(
-        parse_family(part) for part in kv["scenarios"].split(";") if part.strip()
-    )
-    sizes = tuple(int(s) for s in kv.get("sizes", kv.get("n", "")).split(",") if s.strip())
-    full = kv.get("full_scale", "false").lower() in ("1", "true", "yes", "on")
-    m_default = FULL_REPLICATIONS if full else DESK_REPLICATIONS
-    b_default = FULL_BOOTSTRAP if full else DESK_BOOTSTRAP
-    args = {
-        "scenarios": scenarios,
-        "sizes": sizes,
-        "replications": int(kv.get("replications", kv.get("m", m_default))),
-        "bootstrap": int(kv.get("bootstrap", kv.get("b", b_default))),
-        "alpha": float(kv.get("alpha", 0.05)),
-        "seed": int(kv.get("seed", 0)),
-    }
-    if "a" in kv:
-        args["a_grid"] = tuple(float(s) for s in kv["a"].split(",") if s.strip())
-    if "tests" in kv:
-        args["tests"] = tuple(s.strip() for s in kv["tests"].split(",") if s.strip())
-    return SimulationConfig(**args)
+    fields["scenarios"] = tuple(map(parse_family, fields["scenarios"]))
+    full = fields.pop("full_scale", "false").lower()
+    if full not in _FLAG_WORDS:
+        raise ValueError(f"full_scale must be one of {', '.join(_FLAG_WORDS)}; got {full!r}")
+    if _FLAG_WORDS[full]:
+        fields.setdefault("replications", FULL_REPLICATIONS)
+        fields.setdefault("bootstrap", FULL_BOOTSTRAP)
+    return SimulationConfig(**fields)

@@ -197,3 +197,15 @@ def test_simulate_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(good), "--workers", "-3"]) == 2
     assert main(["simulate", "--config", str(good), "--workers", "0"]) == 2
     capsys.readouterr()
+
+
+def test_simulate_rejects_a_setting_given_twice(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("scenarios = gompertz eta=1 b=1\nn = 15\nsizes = 20\ntests = ks\nm = 2\nb = 10\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "twice" in capsys.readouterr().err
+
+
+def test_sample_rejects_a_repeated_key(capsys):
+    assert main(["sample", "gamma", "k=1", "k=3", "n=5"]) == 2
+    assert "repeated key" in capsys.readouterr().err

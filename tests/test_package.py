@@ -71,3 +71,34 @@ def test_no_unused_module_level_imports():
     sources = sorted(p for p in SOURCES.glob("*.py") if p.name != "__init__.py")
     assert sources
     assert [u for p in sources for u in _unused_imports(p)] == []
+
+
+def _module_level_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield node, target.id
+
+
+def test_every_private_name_is_used_by_the_sources():
+    # A module-level _name that no source file reads, outside its own
+    # definition, is production code that only tests (or nothing) use.
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SOURCES.glob("*.py"))}
+    reads = [
+        (node, {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+         | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+        for tree in trees.values() for node in tree.body
+    ]
+    unused = [
+        f"{file}:{node.lineno} {name}"
+        for file, tree in trees.items()
+        for node, name in _module_level_definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in names for other, names in reads if other is not node)
+    ]
+    assert unused == []

@@ -236,3 +236,66 @@ def test_config_file_errors(tmp_path):
     p.write_text("scenarios = gompertz eta=1 b=1\nn = 20\ntests = nope\n")
     with pytest.raises(ValueError):
         config_from_file(p)
+
+
+def test_parse_family_rejects_a_repeated_key():
+    with pytest.raises(ValueError, match="repeated key 'k'"):
+        parse_family("gamma k=1 k=3")
+    with pytest.raises(ValueError, match="repeated key 'eta'"):
+        parse_family("gompertz eta=1 b=1 eta=2")
+
+
+def test_config_rejects_a_setting_given_twice(tmp_path):
+    p = tmp_path / "twice.cfg"
+    head = "scenarios = gompertz eta=1 b=1\n"
+    for lines in ("n = 20\nsizes = 50\n", "n = 20\nm = 100\nreplications = 50\n",
+                  "n = 20\nseed = 1\nseed = 2\n", "n = 20\nb = 40\nbootstrap = 40\n",
+                  "sizes = 20\nscenarios = gamma k=3\n", "n = 20\nfull_scale = 1\nfull_scale = 0\n"):
+        p.write_text(head + lines)
+        with pytest.raises(ValueError, match="twice"):
+            config_from_file(p)
+
+
+def test_config_full_scale_words(tmp_path):
+    p = tmp_path / "full.cfg"
+    full, desk = (10000, 2000), (1000, 500)
+    for word, scale in [("1", full), ("TRUE", full), ("Yes", full), ("on", full),
+                        ("0", desk), ("false", desk), ("NO", desk), ("Off", desk)]:
+        p.write_text(f"scenarios = gompertz eta=1 b=1\nn = 50\nfull_scale = {word}\n")
+        cfg = config_from_file(p)
+        assert (cfg.replications, cfg.bootstrap) == scale
+    for word in ("ture", "", "2", "y"):
+        p.write_text(f"scenarios = gompertz eta=1 b=1\nn = 50\nfull_scale = {word}\n")
+        with pytest.raises(ValueError, match="full_scale"):
+            config_from_file(p)
+
+
+def test_rates_exclude_failed_replicates():
+    # 8 of the 20 replicates raise ScoreOverflowError; all 12 others reject
+    cfg = SimulationConfig(
+        scenarios=(AlternativeSpec("lognormal", sigma=6),), sizes=(30,), tests=("ks",),
+        replications=20, bootstrap=20, seed=1,
+    )
+    report = run_study(cfg, progress=False)
+    cell = report.cells[0]
+    kind = TestKind("ks")
+    assert (cell.failures, cell.rejections[kind], cell.not_found_fit, cell.not_found_boot) == (
+        8, 12, 12, 92
+    )
+    assert cell.rejection_rate(kind) == 1.0
+    assert cell.not_found_fit_rate() == 1.0
+    assert cell.not_found_boot_rate() == 92 / (12 * 20)
+    assert report_to_csv(report).splitlines()[1] == "lognormal(6),30,ks,NA,1.0000,1.0000,0.3833"
+
+
+def test_rates_are_nan_when_every_replicate_fails():
+    cfg = SimulationConfig(
+        scenarios=(AlternativeSpec("lognormal", sigma=20),), sizes=(30,), tests=("ks",),
+        replications=4, bootstrap=10, seed=1,
+    )
+    report = run_study(cfg, progress=False)
+    cell = report.cells[0]
+    assert cell.failures == 4
+    assert np.isnan(cell.rejection_rate(TestKind("ks")))
+    assert np.isnan(cell.not_found_fit_rate()) and np.isnan(cell.not_found_boot_rate())
+    assert report_to_csv(report).splitlines()[1] == "lognormal(20),30,ks,NA,nan,nan,nan"
