@@ -75,7 +75,7 @@ def cmd_gof(args):
         fh.write(f"# seed={args.seed} n={x.size} B={args.bootstrap} alpha={args.alpha:g}\n")
         fh.write(
             f"# eta_hat={first.fit.eta_hat:.15g} b_hat={first.fit.b_hat:.15g} "
-            f"fallback_used={first.fit.fallback_used} "
+            f"fallback_used={first.fit.fallback_used} iterations={first.fit.iterations} "
             f"notfound_boot={first.not_found_frequency_bootstrap:.15g}\n"
         )
         writer = csv.writer(fh)

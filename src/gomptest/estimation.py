@@ -9,8 +9,11 @@ cumulative-hazard ratios. A row whose pilot fails, whose Newton run fails,
 or which lands on the trivial root b=0 is rescued: a log grid above
 B_FLOOR brackets the first sign change of h, and the same Newton iteration
 reruns from the bracket's midpoint, kept inside it. The grid is scanned
-column by column in order, computing h only, and each row leaves the scan
-at its first sign change. The shape follows as
+in order, computing h only, in blocks of consecutive columns: each block
+evaluates k columns for every row still in the scan in one pass, with k
+chosen so that a block holds about _SCAN_BLOCK elements (so many columns
+per block at small n, one at large n), and each row leaves the scan after
+the block that holds its first sign change. The shape follows as
 eta_hat = 1 / (mean(e^(b_hat x_j)) - 1). When no positive root can be
 found the scale falls back to the conventional small value 0.001 and the
 fit is flagged. A fit whose eta_hat is not positive and finite (e^(b x)
@@ -50,6 +53,9 @@ B_FLOOR = 1e-4
 GRID_POINTS = 200
 # Grid cap so e^(b*x) stays finite with headroom for the x^2 e^(b*x) terms.
 GRID_EXP_CAP = 690.0
+# Element budget of one block of the grid scan: enough columns per block to
+# amortise numpy's per-call cost at small n, small enough to stay in cache.
+_SCAN_BLOCK = 1 << 16
 
 
 class PilotFailedError(ValueError):
@@ -125,10 +131,10 @@ def pilot_scale(sample):
 
 def score_h(b, sample):
     """Profile score h(b) whose positive root is the scale MLE."""
-    if b <= 0.0:
-        raise ValueError("score is defined for b > 0")
+    if not (math.isfinite(b) and b > 0.0):
+        raise ValueError(f"score is defined for finite b > 0, got {b!r}")
     xs = np.sort(as_sample(sample))[None, :]
-    h = _score_rows(np.asarray([float(b)]), xs, np.mean(xs, axis=1), np.empty_like(xs))
+    h, _ = _score_and_deriv(np.asarray([float(b)]), xs)
     if not np.isfinite(h[0]):
         raise ScoreOverflowError(f"e^(b*x) overflows at b={b!r}")
     return float(h[0])
@@ -186,36 +192,48 @@ class FitBatch:
         )
 
 
+def _row_mean(a):
+    # Mean over the last axis; bitwise np.mean's value at half its call cost.
+    return np.add.reduce(a, axis=-1) / a.shape[-1]
+
+
 def _h(b, xbar, m1, s1):
     # The score from the row means xbar, m1 = mean(e^(b x)), s1 = mean(x e^(b x)).
     return (m1 - 1.0) * (b * xbar + 1.0) - b * s1
 
 
-def _score_and_deriv(b, xs):
-    # b: (m,), xs: (m, n) sorted rows. Overflow deliberately yields non-finite
-    # h, which callers treat as failure of that row.
-    bx = b[:, None] * xs
+def _score_and_deriv(b, xs, xbar=None):
+    # b: (m,), xs: (m, n) sorted rows, xbar their row means (computed when
+    # not given). Overflow deliberately yields non-finite h, which callers
+    # treat as failure of that row.
+    if xbar is None:
+        xbar = _row_mean(xs)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(bx)
-        m1 = np.mean(e, axis=1)
-        s1 = np.mean(xs * e, axis=1)
-        s2 = np.mean(xs * xs * e, axis=1)
-        xbar = np.mean(xs, axis=1)
+        e = np.multiply(b[:, None], xs)
+        np.exp(e, out=e)
+        m1 = _row_mean(e)
+        t = xs * e
+        s1 = _row_mean(t)
+        np.multiply(xs, xs, out=t)
+        t *= e
+        s2 = _row_mean(t)
         h = _h(b, xbar, m1, s1)
         hp = b * xbar * s1 + (m1 - 1.0) * xbar - b * s2
     return h, hp
 
 
 def _score_rows(b, xs, xbar, e):
-    # h alone, bitwise equal to _score_and_deriv's; xbar is the row means of
-    # xs and e an (m, n) scratch buffer that is overwritten.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(b[:, None], xs, out=e)
-        np.exp(e, out=e)
-        m1 = np.mean(e, axis=1)
-        e *= xs
-        s1 = np.mean(e, axis=1)
-        return _h(b, xbar, m1, s1)
+    # h alone at k scales per row, bitwise equal to _score_and_deriv's:
+    # b: (m, k), xs: (m, n) sorted rows, xbar their row means, e an (m, k, n)
+    # scratch buffer that is overwritten. Returns (m, k). The caller holds
+    # the errstate that lets overflow through as non-finite h.
+    x3 = xs[:, None, :]
+    np.multiply(b[:, :, None], x3, out=e)
+    np.exp(e, out=e)
+    m1 = _row_mean(e)
+    e *= x3
+    s1 = _row_mean(e)
+    return _h(b, xbar[:, None], m1, s1)
 
 
 def _cumhaz_steps(n):
@@ -244,39 +262,41 @@ def _newton(b0, xs, active, lo, hi):
 
     Rows stay active until |h| < NEWTON_TOL or they fail (non-finite score,
     zero derivative, iteration budget). Step halving keeps each row's
-    iterates inside its bracket, lo < b <= hi (hi may be inf).
+    iterates inside its bracket, lo < b <= hi (hi may be inf). The row
+    terms (data, mean, bracket) of the active rows are gathered only when
+    rows leave, and not at all while every row is active.
     """
     m = xs.shape[0]
     b = b0.copy()
     converged = np.zeros(m, dtype=bool)
     iterations = np.zeros(m, dtype=np.int64)
-    active = active.copy()
+    idx = np.nonzero(active)[0]
+    if idx.size < m:
+        xs, lo, hi = xs[idx], lo[idx], hi[idx]
+    xbar = _row_mean(xs)
     for _ in range(NEWTON_MAX_ITER):
-        if not np.any(active):
+        if not idx.size:
             break
-        idx = np.nonzero(active)[0]
-        h, hp = _score_and_deriv(b[idx], xs[idx])
+        h, hp = _score_and_deriv(b[idx], xs, xbar)
         bad = ~np.isfinite(h) | ~np.isfinite(hp) | (hp == 0.0)
         done = np.abs(h) < NEWTON_TOL
         converged[idx[done & ~bad]] = True
-        active[idx[done | bad]] = False
         move = ~done & ~bad
-        if not np.any(move):
-            continue
-        rows = idx[move]
-        step = h[move] / hp[move]
-        new_b = b[rows] - step
+        if not move.all():
+            idx, xs, xbar, lo, hi, h, hp = (a[move] for a in (idx, xs, xbar, lo, hi, h, hp))
+        step = h / hp
+        b_old = b[idx]
+        new_b = b_old - step
         guard = 0
-        while np.any(out := (new_b <= lo[rows]) | (new_b > hi[rows])) and guard < 200:
+        while np.any(out := (new_b <= lo) | (new_b > hi)) and guard < 200:
             step = np.where(out, 0.5 * step, step)
-            new_b = b[rows] - step
+            new_b = b_old - step
             guard += 1
-        b[rows] = new_b
-        iterations[rows] += 1
-    if np.any(active):
+        b[idx] = new_b
+        iterations[idx] += 1
+    if idx.size:
         # Iteration budget exhausted; one final tolerance check.
-        idx = np.nonzero(active)[0]
-        h, _ = _score_and_deriv(b[idx], xs[idx])
+        h, _ = _score_and_deriv(b[idx], xs, xbar)
         converged[idx] = np.isfinite(h) & (np.abs(h) < NEWTON_TOL)
     return b, converged, iterations
 
@@ -287,27 +307,40 @@ def _grid_rescue(xs):
     Returns (has, lo, hi): whether each row has a sign change, and the grid
     cell [lo, hi] where it first occurs (the first cell where has is False).
     A sign change is two adjacent finite values whose signs multiply to <= 0.
-    The columns are scanned in order and a row stops at its first sign
-    change, so a row that flips in cell k costs k + 2 evaluations of h.
+    The columns are scanned in order, in blocks of k consecutive columns,
+    k = max(1, _SCAN_BLOCK // (rows still in the scan * n)), capped at the
+    columns left. One block evaluates h at its k columns for every row
+    still in the scan, in one pass through one reused scratch buffer; the
+    last column of the previous block is carried over, so a cell that
+    straddles two blocks is tested too. A row leaves the scan after the
+    block that holds its first sign change. Each h value is computed by the
+    same row-local operations as in _score_and_deriv, so the bracket does
+    not depend on the block width.
     """
     m, n = xs.shape
     top = np.maximum(np.minimum(50.0, GRID_EXP_CAP / xs[:, -1]), 2.0 * B_FLOOR)
     t = np.linspace(0.0, 1.0, GRID_POINTS)
     grid = B_FLOOR * (top[:, None] / B_FLOOR) ** t[None, :]
     first = np.full(m, -1)
-    idx, ys, xbar = np.arange(m), xs, np.mean(xs, axis=1)
-    e = np.empty((m, n))
-    for j in range(GRID_POINTS):
-        h = _score_rows(grid[idx, j], ys, xbar, e[: idx.size])
-        if j:
-            flip = np.isfinite(prev) & np.isfinite(h) & (np.sign(prev) * np.sign(h) <= 0.0)
-            if np.any(flip):
-                first[idx[flip]] = j - 1
-                stay = ~flip
+    idx, ys, xbar = np.arange(m), xs, _row_mean(xs)
+    buf = np.empty(min(max(m * n, _SCAN_BLOCK), m * n * GRID_POINTS))
+    j = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while j < GRID_POINTS and idx.size:
+            r = idx.size
+            k = min(max(1, _SCAN_BLOCK // (r * n)), GRID_POINTS - j)
+            h = _score_rows(grid[idx, j : j + k], ys, xbar, buf[: r * k * n].reshape(r, k, n))
+            if j:
+                h = np.concatenate((prev[:, None], h), axis=1)
+            sign = np.where(np.isfinite(h), np.sign(h), np.nan)
+            flip = sign[:, :-1] * sign[:, 1:] <= 0.0
+            hit = flip.any(axis=1)
+            if hit.any():
+                first[idx[hit]] = np.argmax(flip[hit], axis=1) + max(j - 1, 0)
+                stay = ~hit
                 idx, ys, xbar, h = idx[stay], ys[stay], xbar[stay], h[stay]
-                if not idx.size:
-                    break
-        prev = h
+            prev = h[:, -1]
+            j += k
     has = first >= 0
     cell = np.where(has, first, 0)
     rows = np.arange(m)
@@ -345,7 +378,7 @@ def fit_batch(x):
     fallback = ~converged
     b_fit[fallback] = FALLBACK_B
     with np.errstate(over="ignore"):
-        eta = 1.0 / np.mean(np.expm1(b_fit[:, None] * xs), axis=1)
+        eta = 1.0 / _row_mean(np.expm1(b_fit[:, None] * xs))
     return FitBatch(
         eta=eta,
         b=b_fit,

@@ -19,11 +19,21 @@ def mix64(z):
 
 
 def derive_key(seed, *path):
-    """Fold a seed and an integer path into a single 64-bit stream key."""
-    h = mix64(seed & _MASK64)
+    """Fold a seed and an integer path into a single 64-bit stream key.
+
+    The seed and every path part must lie in [0, 2^64); anything outside
+    raises ValueError, so no two distinct seeds share a stream.
+    """
+    h = mix64(_word(seed))
     for part in path:
-        h = mix64(h ^ mix64(part & _MASK64))
+        h = mix64(h ^ mix64(_word(part)))
     return h
+
+
+def _word(v):
+    if not 0 <= v <= _MASK64:
+        raise ValueError(f"seeds and stream path parts must lie in [0, 2**64), got {v!r}")
+    return v
 
 
 def substream(seed, *path):

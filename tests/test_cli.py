@@ -6,6 +6,7 @@ import pytest
 
 from gomptest.cli import main
 from gomptest.distributions import AlternativeSpec, GompertzParams, alt_sample, gompertz_sample
+from gomptest.estimation import fit_mle
 
 
 def _write_sample(path, n=80, seed=7, eta=1.0, b=1.0):
@@ -85,6 +86,17 @@ def test_gof_fit_overflow_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gof_header_reports_the_data_fits_newton_iterations(tmp_path, capsys):
+    data = tmp_path / "x.csv"
+    x = _write_sample(data, n=60, seed=5)
+    assert main(["gof", "--input", str(data), "--test", "ks", "--bootstrap", "20"]) == 0
+    header = capsys.readouterr().out.splitlines()[1]
+    fields = dict(f.split("=", 1) for f in header.lstrip("# ").split())
+    fit = fit_mle(np.array([float(f"{v:.15g}") for v in x]))
+    assert fields["iterations"] == str(fit.iterations)
+    assert fit.iterations > 0
+
+
 def test_gof_writes_file(tmp_path, capsys):
     data = tmp_path / "x.csv"
     _write_sample(data, n=40, seed=2)
@@ -136,6 +148,21 @@ def test_sample_errors(capsys):
     assert main(["sample", "gamma", "k=3"]) == 2  # n missing
     assert main(["sample", "gamma", "k=3", "n=0"]) == 2
     capsys.readouterr()
+
+
+def test_sample_seeds_outside_64_bits_exit_2(capsys):
+    # distinct seeds must not alias modulo 2^64 while the header echoes them
+    base = ["sample", "gompertz", "eta=1", "b=1", "n=3"]
+    assert main(base + ["seed=0"]) == 0
+    low = capsys.readouterr().out
+    assert main(base + [f"seed={2**64 - 1}"]) == 0
+    high = capsys.readouterr().out
+    assert low.startswith("# seed=0\n") and high.startswith(f"# seed={2**64 - 1}\n")
+    assert low.splitlines()[1:] != high.splitlines()[1:]
+    for seed in (2**64, -1):
+        assert main(base + [f"seed={seed}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "2**64" in captured.err
 
 
 def test_lifetable_pipeline(tmp_path, capsys):

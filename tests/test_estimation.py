@@ -132,6 +132,20 @@ def test_score_h_validation():
         score_h(10.0, [100.0, 200.0, 300.0])
 
 
+def test_score_h_rejects_a_non_finite_scale():
+    # a NaN or infinite b is bad input, not an overflow of e^(b*x)
+    for b in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            score_h(b, [1.0, 2.0, 3.0])
+
+
+def test_score_h_overflow_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScoreOverflowError):
+            score_h(10.0, [100.0, 200.0, 300.0])
+
+
 def test_fit_mle_eta_is_profile_formula():
     x = gompertz_sample(GompertzParams(2.0, 0.5), 150, seed=4)
     fit = fit_mle(x)
@@ -322,9 +336,24 @@ def test_grid_scan_matches_full_grid(case):
         assert not flip.any() and not has.any()
 
 
+def _block_schedule(has, first, n, block):
+    # The blocks of the grid scan as (first column, width, rows in the scan)
+    # for an element budget `block`, given each row's first flip cell from
+    # the full-grid oracle: a row needs column first + 1 and leaves after
+    # the block that holds it.
+    last = np.where(has, first + 1, GRID_POINTS - 1)
+    blocks, j = [], 0
+    while j < GRID_POINTS and (r := int(np.sum(last >= j))):
+        k = min(max(1, block // (r * n)), GRID_POINTS - j)
+        blocks.append((j, k, r))
+        j += k
+    return blocks
+
+
 def test_grid_scan_stops_each_row_at_its_first_sign_change(monkeypatch):
-    # A row that first flips in cell k costs k + 2 evaluations of h, a row
-    # that never flips all GRID_POINTS; the full grid would cost
+    # The scan evaluates h exactly as often as the block schedule built from
+    # the full-grid oracle says, which holds only if each row leaves after
+    # the block with its first sign change; the full grid would cost
     # GRID_POINTS for every row.
     xs = _GRID_CASES["boundary_refits_n1000"]()
     _, flip = _full_grid_flips(xs)
@@ -340,8 +369,43 @@ def test_grid_scan_stops_each_row_at_its_first_sign_change(monkeypatch):
 
     monkeypatch.setattr(estimation, "_score_rows", spy)
     estimation._grid_rescue(xs)
-    expected = int(np.sum(np.where(has, first + 2, GRID_POINTS)))
+    blocks = _block_schedule(has, first, xs.shape[1], estimation._SCAN_BLOCK)
+    assert len(evaluated) == len(blocks)
+    expected = sum(k * r for _, k, r in blocks)
     assert sum(evaluated) == expected < GRID_POINTS * xs.shape[0]
+
+
+def _straddling_block(xs):
+    # An element budget whose first block ends just before the column that
+    # completes the earliest first flip in a cell >= 1, so that flip
+    # straddles two blocks; None when no row flips there.
+    _, flip = _full_grid_flips(xs)
+    has, first = flip.any(axis=1), np.argmax(flip, axis=1)
+    late = first[has & (first >= 1)]
+    if not late.size:
+        return None
+    m, n = xs.shape
+    block = (int(late.min()) + 1) * m * n
+    starts = {j for j, _, _ in _block_schedule(has, first, n, block)}
+    assert any(f + 1 in starts for f in first[has]), "no flip straddles two blocks"
+    return block
+
+
+@pytest.mark.parametrize("width", ["one_column", "straddling", "whole_grid"])
+@pytest.mark.parametrize("case", sorted(_GRID_CASES))
+def test_grid_scan_does_not_depend_on_the_block_width(case, width, monkeypatch):
+    xs = _GRID_CASES[case]()
+    m, n = xs.shape
+    block = {
+        "one_column": lambda: 1,
+        "straddling": lambda: _straddling_block(xs) or 7 * m * n,
+        "whole_grid": lambda: m * n * GRID_POINTS,
+    }[width]()
+    monkeypatch.setattr(estimation, "_SCAN_BLOCK", block)
+    has, lo, hi = estimation._grid_rescue(xs)
+    ref_has, ref_lo, ref_hi = _grid_rescue_full(xs)
+    assert np.array_equal(has, ref_has)
+    assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes()
 
 
 def test_score_h_matches_the_batched_score():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gomptest.rng import derive_key, mix64, substream
 
@@ -31,7 +32,13 @@ def test_substream_distinct_paths_differ():
     assert not np.array_equal(a, b)
 
 
-def test_substream_negative_seed_ok():
-    a = substream(-3).random(4)
-    b = substream(-3).random(4)
-    assert np.array_equal(a, b)
+def test_seeds_outside_64_bits_are_rejected_not_aliased():
+    # 2^64 would alias 0 and -1 would alias 2^64 - 1 if reduced modulo 2^64
+    assert not np.array_equal(substream(0).random(4), substream(2**64 - 1).random(4))
+    for bad in (2**64, -1):
+        with pytest.raises(ValueError):
+            derive_key(bad)
+        with pytest.raises(ValueError):
+            derive_key(0, 1, bad)
+        with pytest.raises(ValueError):
+            substream(bad)
