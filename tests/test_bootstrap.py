@@ -115,14 +115,20 @@ def test_outcome_reconstructed_from_replicates():
 
 
 def test_edf_kinds_match_direct_statistics():
-    x = gompertz_sample(GompertzParams(1.0, 1.0), 45, seed=2)
-    fit = fit_mle(x)
-    inp = EdfInput.from_rescaled(rescale(x, fit))
-    many = bootstrap_many(x, ALL_KINDS, B=60, alpha=0.05, seed=1)
-    assert many[TestKind("ks")].statistic == ks_statistic(inp)
-    assert many[TestKind("ad")].statistic == ad_statistic(inp)
-    assert many[TestKind("cm")].statistic == cm_statistic(inp)
-    assert many[TestKind("wa")].statistic == watson_statistic(inp)
+    samples = [
+        (gompertz_sample(GompertzParams(1.0, 1.0), 45, seed=2), False),
+        # a fallback fit whose PIT values reach 1 - EPS and are clipped
+        (gompertz_sample(GompertzParams(1.0, 1.0), 100, seed=3) * 1e5, True),
+    ]
+    for x, clipped in samples:
+        fit = fit_mle(x)
+        inp = EdfInput.from_rescaled(rescale(x, fit))
+        assert (fit.fallback_used, inp.clipped) == (clipped, clipped)
+        many = bootstrap_many(x, ALL_KINDS, B=60, alpha=0.05, seed=1)
+        assert many[TestKind("ks")].statistic == ks_statistic(inp)
+        assert many[TestKind("ad")].statistic == ad_statistic(inp)
+        assert many[TestKind("cm")].statistic == cm_statistic(inp)
+        assert many[TestKind("wa")].statistic == watson_statistic(inp)
 
 
 def test_stein_grid_is_one_call_per_batch(monkeypatch):
