@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _gompertz_quantile_raw, _positive_uniforms
+from .distributions import _gompertz_cdf_unit, _gompertz_quantile_raw, _positive_uniforms
 from .edf_tests import EPS, _ad_rows, _cm_rows, _ks_rows, _wa_rows
 from .estimation import FitResult, _fittable, fit_batch
 from .rng import substream
@@ -129,9 +129,7 @@ def _statistic_rows(kinds, fits):
     out = {}
     edf_kinds = [k for k in kinds if k.name != "stein"]
     if edf_kinds:
-        with np.errstate(over="ignore"):
-            u = -np.expm1(-eta[:, None] * np.expm1(ys))
-        u = np.clip(u, EPS, 1.0 - EPS)
+        u = np.clip(_gompertz_cdf_unit(eta[:, None], ys), EPS, 1.0 - EPS)
         table = {"ks": _ks_rows, "cm": _cm_rows, "ad": _ad_rows, "wa": _wa_rows}
         for kind in edf_kinds:
             out[kind] = table[kind.name](u)

@@ -62,9 +62,7 @@ def gompertz_pdf(p, x):
 def gompertz_cdf(p, x):
     """CDF of GO(p.eta, p.b); zero for x < 0."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        val = -np.expm1(-p.eta * np.expm1(p.b * x))
-    out = np.where(x >= 0.0, val, 0.0)
+    out = np.where(x >= 0.0, _gompertz_cdf_unit(p.eta, p.b * x), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -75,6 +73,12 @@ def gompertz_quantile(p, u):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
     out = _gompertz_quantile_raw(p.eta, p.b, u)
     return out if out.ndim else float(out)
+
+
+def _gompertz_cdf_unit(eta, y):
+    # CDF of GO(eta, 1) at y = b*x; e^y overflowing to inf gives exactly 1.
+    with np.errstate(over="ignore"):
+        return -np.expm1(-eta * np.expm1(y))
 
 
 def _gompertz_quantile_raw(eta, b, u):

@@ -58,11 +58,6 @@ class EdfInput:
         return cls(gompertz_cdf(p, rescaled.values))
 
 
-def _rows(values):
-    u = np.asarray(values, dtype=float)
-    return u[None, :] if u.ndim == 1 else u
-
-
 def _ks_rows(us):
     # us: (m, n) rows sorted ascending
     m, n = us.shape
@@ -95,19 +90,19 @@ def _wa_rows(us):
 
 def ks_statistic(input):
     """Kolmogorov-Smirnov: sup distance between the EDF and the fitted CDF."""
-    return float(_ks_rows(_rows(input.u))[0])
+    return float(_ks_rows(input.u[None, :])[0])
 
 
 def cm_statistic(input):
     """Cramer-von Mises: 1/(12n) + sum of squared PIT deviations."""
-    return float(_cm_rows(_rows(input.u))[0])
+    return float(_cm_rows(input.u[None, :])[0])
 
 
 def ad_statistic(input):
     """Anderson-Darling in the Sukhatme order-statistic form."""
-    return float(_ad_rows(_rows(input.u))[0])
+    return float(_ad_rows(input.u[None, :])[0])
 
 
 def watson_statistic(input):
     """Watson: Cramer-von Mises minus the squared centering term."""
-    return float(_wa_rows(_rows(input.u))[0])
+    return float(_wa_rows(input.u[None, :])[0])

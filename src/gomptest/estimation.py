@@ -48,6 +48,7 @@ __all__ = [
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 FALLBACK_B = 0.001
+PILOT_MIN_N = 5  # smallest sample the Nelson-Aalen pilot is formed for
 # Roots at or below this are the b=0 boundary (always a root of h), not a fit.
 B_FLOOR = 1e-4
 GRID_POINTS = 200
@@ -123,8 +124,8 @@ def pilot_scale(sample):
     are expected to fall back to a grid search over b.
     """
     x = as_sample(sample)
-    if x.size < 5:
-        raise ValueError("pilot needs at least 5 observations")
+    if x.size < PILOT_MIN_N:
+        raise ValueError(f"pilot needs at least {PILOT_MIN_N} observations")
     z, lam_z, lam_half = _pilot_ingredients(np.sort(x)[None, :])
     return pilot_from_cumhaz(float(z[0]), float(lam_z[0]), float(lam_half[0]))
 
@@ -357,7 +358,7 @@ def fit_batch(x):
     x = np.asarray(x, dtype=float)
     m, n = x.shape
     xs = np.sort(x, axis=1)
-    pilot = _pilot(*_pilot_ingredients(xs)) if n >= 5 else np.full(m, np.nan)
+    pilot = _pilot(*_pilot_ingredients(xs)) if n >= PILOT_MIN_N else np.full(m, np.nan)
     start_ok = np.isfinite(pilot) & (pilot > 0.0)
     b = np.where(start_ok, pilot, 1.0)
     b_fit, converged, iterations = _newton(

@@ -154,10 +154,9 @@ _P2 = _moment_series_coeffs(2)
 def _horner(coeffs, t):
     """sum_k coeffs[k] * t**k, updating one array it owns in place.
 
-    out *= t; out += c performs the same IEEE operations as c + t*out. For
-    a float t (the quadrature's scalar path) the operators rebind instead.
+    out *= t; out += c performs the same IEEE operations as c + t*out.
     """
-    out = np.full_like(t, coeffs[-1]) if isinstance(t, np.ndarray) else coeffs[-1]
+    out = np.full_like(t, coeffs[-1])
     for c in reversed(coeffs[:-1]):
         out *= t
         out += c
@@ -202,33 +201,22 @@ def t_statistic_quadrature(input, w):
     moments E_m of the interval. That quadratic form is positive
     semidefinite with bounded condition number, every piece is nonnegative,
     and the pieces are combined with compensated summation; this is the
-    reference implementation the closed form is validated against.
+    reference implementation the closed form is validated against. The two
+    share only _exp_moments, which the tests check against mpmath.
     """
     a = _weight_a(w)
     knots, alpha, beta = _pieces(input)
-    n = input.n
+    width = np.diff(knots)
+    moments = (e.tolist() for e in _exp_moments(a, width, width**2, width**3))
     pieces = []
-    for k in range(n):
-        lo = float(knots[k])
-        width = float(knots[k + 1]) - lo
-        be = float(beta[k])
-        u = float(alpha[k]) + be * lo
-        z = a * width
-        if z < _MOMENT_SERIES_CUT:
-            e0 = width * _horner(_P0, -z)
-            e1 = width**2 * _horner(_P1, -z)
-            e2 = width**3 * _horner(_P2, -z)
-        else:
-            e = math.exp(-z)
-            e0 = -math.expm1(-z) / a
-            e1 = (e0 - width * e) / a
-            e2 = (2.0 * e1 - width**2 * e) / a
+    for lo, al, be, e0, e1, e2 in zip(knots.tolist(), alpha.tolist(), beta.tolist(), *moments):
+        u = al + be * lo
         quad_form = math.fsum([u * u * e0, 2.0 * u * be * e1, be * be * e2])
         pieces.append(math.exp(-a * lo) * quad_form)
-    # Final piece (Y_(n), inf): beta = 0, integrand constant alpha^2.
-    al_inf = float(alpha[n])
-    pieces.append(math.exp(-a * float(knots[n])) * al_inf * al_inf / a)
-    return n * math.fsum(pieces)
+    # zip ends with the n finite intervals; on (Y_(n), inf) beta = 0, integrand alpha^2.
+    al_inf = float(alpha[-1])
+    pieces.append(math.exp(-a * float(knots[-1])) * al_inf * al_inf / a)
+    return input.n * math.fsum(pieces)
 
 
 def _t_closed_form_rows(ys, eta, a_grid):
