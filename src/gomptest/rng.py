@@ -5,6 +5,8 @@ generator keyed by (seed, path...), so a given logical stream produces
 the same numbers no matter which worker evaluates it or in which order.
 """
 
+import numbers
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -21,8 +23,8 @@ def mix64(z):
 def derive_key(seed, *path):
     """Fold a seed and an integer path into a single 64-bit stream key.
 
-    The seed and every path part must lie in [0, 2^64); anything outside
-    raises ValueError, so no two distinct seeds share a stream.
+    The seed and every path part must be integers in [0, 2^64); anything
+    else raises ValueError, so no two distinct seeds share a stream.
     """
     h = mix64(_word(seed))
     for part in path:
@@ -31,9 +33,10 @@ def derive_key(seed, *path):
 
 
 def _word(v):
-    if not 0 <= v <= _MASK64:
-        raise ValueError(f"seeds and stream path parts must lie in [0, 2**64), got {v!r}")
-    return v
+    # NumPy integers are Integral; int() gives the equal Python int, so the same stream.
+    if not (isinstance(v, numbers.Integral) and 0 <= int(v) <= _MASK64):
+        raise ValueError(f"seeds and stream path parts must be integers in [0, 2**64), got {v!r}")
+    return int(v)
 
 
 def substream(seed, *path):

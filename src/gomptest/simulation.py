@@ -84,6 +84,13 @@ def parse_family(text):
     return spec
 
 
+def _whole(v, what):
+    # Config-file text such as "50" converts; a number must not be truncated.
+    if isinstance(v, str) or int(v) == v:
+        return int(v)
+    raise ValueError(f"{what}: expected a whole number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Study layout: scenarios x sizes, test battery, budgets, master seed."""
@@ -104,15 +111,15 @@ class SimulationConfig:
         for s in scen:
             if not isinstance(s, (GompertzParams, AlternativeSpec)):
                 raise ValueError(f"scenario must be a distribution spec, got {s!r}")
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = tuple(_whole(n, "sizes") for n in self.sizes)
         if not sizes or any(n < 2 for n in sizes):
             raise ValueError("sizes must be integers >= 2")
         grid = tuple(float(a) for a in self.a_grid)
         if not grid or any(not a > 0.0 for a in grid):
             raise ValueError("a_grid must contain positive reals")
-        tests = tuple(str(t).lower() for t in self.tests)
-        _expand_tests(tests, grid)
-        if int(self.replications) < 1 or int(self.bootstrap) < 1:
+        tests = tuple(dict.fromkeys(k.name for k in _expand_tests(self.tests, grid)))
+        m, b = _whole(self.replications, "replications"), _whole(self.bootstrap, "bootstrap")
+        if m < 1 or b < 1:
             raise ValueError("replications and bootstrap size must be >= 1")
         if not 0.0 < float(self.alpha) < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
@@ -121,9 +128,9 @@ class SimulationConfig:
         object.__setattr__(self, "a_grid", grid)
         object.__setattr__(self, "tests", tests)
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "bootstrap", int(self.bootstrap))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "replications", m)
+        object.__setattr__(self, "bootstrap", b)
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
 
     def kinds(self):
         """Expand the test names into concrete kinds ('stein' per a in grid)."""
@@ -241,11 +248,12 @@ def run_study(config, workers=1, progress=True):
 
 
 def report_to_csv(report):
-    """One CSV row per (scenario, n, test); rates as 4-digit decimals."""
+    """One CSV row per (scenario, n, test); rates over valid_replications, 4 decimals."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
-        ["scenario", "n", "test", "a", "rejection_rate", "notfound_fit", "notfound_boot"]
+        ["scenario", "n", "test", "a", "rejection_rate", "notfound_fit", "notfound_boot",
+         "failures", "valid_replications"]
     )
     for cell in report.cells:
         for kind in cell.rejections:
@@ -258,6 +266,8 @@ def report_to_csv(report):
                     f"{cell.rejection_rate(kind):.4f}",
                     f"{cell.not_found_fit_rate():.4f}",
                     f"{cell.not_found_boot_rate():.4f}",
+                    cell.failures,
+                    cell.replications - cell.failures,
                 ]
             )
     return buf.getvalue()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gomptest.bootstrap import TestKind, bootstrap_test
+from gomptest.distributions import GompertzParams, gompertz_sample
 from gomptest.rng import derive_key, mix64, substream
 
 
@@ -42,3 +44,19 @@ def test_seeds_outside_64_bits_are_rejected_not_aliased():
             derive_key(0, 1, bad)
         with pytest.raises(ValueError):
             substream(bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_integer_seeds_key_the_python_int_stream():
+    for seed in (np.int64(7), np.uint64(7), np.int32(7)):
+        assert derive_key(seed, np.uint64(3)) == derive_key(7, 3)
+        assert type(derive_key(seed)) is int
+    x = gompertz_sample(GompertzParams(1.0, 1.0), 30, seed=np.int64(7))
+    assert np.array_equal(x, gompertz_sample(GompertzParams(1.0, 1.0), 30, seed=7))
+    kind = TestKind("ks")
+    assert bootstrap_test(x, kind, B=20, alpha=0.05, seed=np.int64(7)) == bootstrap_test(
+        x, kind, B=20, alpha=0.05, seed=7
+    )
+    for bad in (7.0, np.float64(7.0), "7"):
+        with pytest.raises(ValueError, match="integers"):
+            derive_key(bad)

@@ -61,6 +61,20 @@ def test_config_validation():
         SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(20,), replications=0)
 
 
+def test_config_rejects_non_integral_counts_instead_of_truncating():
+    base = dict(scenarios=(GompertzParams(1, 1),), sizes=(20,))
+    for bad in (dict(sizes=(30.5,)), dict(replications=2.7), dict(bootstrap=19.9), dict(seed=1.9)):
+        with pytest.raises(ValueError, match="whole number"):
+            SimulationConfig(**{**base, **bad})
+    # config-file text and integral numbers of any type still convert
+    cfg = SimulationConfig(
+        scenarios=base["scenarios"], sizes=("50", 30.0), replications=np.int64(7),
+        bootstrap="40", seed=np.uint64(3),
+    )
+    assert (cfg.sizes, cfg.replications, cfg.bootstrap, cfg.seed) == ((50, 30), 7, 40, 3)
+    assert all(type(v) is int for v in (*cfg.sizes, cfg.replications, cfg.bootstrap, cfg.seed))
+
+
 def test_run_study_rejects_fewer_than_one_worker():
     cfg = SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(15,), tests=("ks",), **SMALL)
     for workers in (0, -3):
@@ -71,8 +85,9 @@ def test_run_study_rejects_fewer_than_one_worker():
 def test_config_kind_expansion():
     cfg = SimulationConfig(
         scenarios=(GompertzParams(1, 1),), sizes=(20,), a_grid=(0.5, 2.0),
-        tests=("stein", "ks"),
+        tests=("Stein ", " KS"),
     )
+    assert cfg.tests == ("stein", "ks")  # stored as _expand_tests normalises them
     assert cfg.kinds() == (TestKind("stein", 0.5), TestKind("stein", 2.0), TestKind("ks"))
 
 
@@ -171,7 +186,8 @@ def test_report_csv_format_and_parse_back():
     text = report_to_csv(report)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == [
-        "scenario", "n", "test", "a", "rejection_rate", "notfound_fit", "notfound_boot"
+        "scenario", "n", "test", "a", "rejection_rate", "notfound_fit", "notfound_boot",
+        "failures", "valid_replications",
     ]
     assert len(rows) == 1 + 2  # one row per (cell, kind)
     by_test = {r[2]: r for r in rows[1:]}
@@ -182,13 +198,14 @@ def test_report_csv_format_and_parse_back():
         assert abs(float(row[4]) - cell.rejection_rate(kind)) <= 5e-5
         assert abs(float(row[5]) - cell.not_found_fit_rate()) <= 5e-5
         assert abs(float(row[6]) - cell.not_found_boot_rate()) <= 5e-5
+        assert row[7:] == [str(cell.failures), str(cell.replications - cell.failures)]
 
 
 def test_report_csv_empty_report():
     cfg = SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(20,))
     text = report_to_csv(SimulationReport(config=cfg, cells=(), seconds=0.0))
     assert text.splitlines() == [
-        "scenario,n,test,a,rejection_rate,notfound_fit,notfound_boot"
+        "scenario,n,test,a,rejection_rate,notfound_fit,notfound_boot,failures,valid_replications"
     ]
 
 
@@ -285,7 +302,7 @@ def test_rates_exclude_failed_replicates():
     assert cell.rejection_rate(kind) == 1.0
     assert cell.not_found_fit_rate() == 1.0
     assert cell.not_found_boot_rate() == 92 / (12 * 20)
-    assert report_to_csv(report).splitlines()[1] == "lognormal(6),30,ks,NA,1.0000,1.0000,0.3833"
+    assert report_to_csv(report).splitlines()[1] == "lognormal(6),30,ks,NA,1.0000,1.0000,0.3833,8,12"
 
 
 def test_rates_are_nan_when_every_replicate_fails():
@@ -298,4 +315,4 @@ def test_rates_are_nan_when_every_replicate_fails():
     assert cell.failures == 4
     assert np.isnan(cell.rejection_rate(TestKind("ks")))
     assert np.isnan(cell.not_found_fit_rate()) and np.isnan(cell.not_found_boot_rate())
-    assert report_to_csv(report).splitlines()[1] == "lognormal(20),30,ks,NA,nan,nan,nan"
+    assert report_to_csv(report).splitlines()[1] == "lognormal(20),30,ks,NA,nan,nan,nan,4,0"
