@@ -11,7 +11,8 @@ import sys
 from contextlib import contextmanager
 
 from .bootstrap import DEFAULT_TESTS, _expand_tests, bootstrap_many
-from .distributions import alt_sample
+from .distributions import _gompertz_cdf_unit, alt_sample
+from .edf_tests import _clip_count
 from .estimation import fit_mle
 from .lifetable import (
     _read_rows,
@@ -71,12 +72,14 @@ def cmd_gof(args):
     )
     outcomes = bootstrap_many(x, kinds, B=args.bootstrap, alpha=args.alpha, seed=args.seed)
     first = outcomes[kinds[0]]
+    fit = first.fit
+    clipped = _clip_count(_gompertz_cdf_unit(fit.eta_hat, fit.b_hat * x))
     with _output(args.output) as fh:
         fh.write(f"# seed={args.seed} n={x.size} B={args.bootstrap} alpha={args.alpha:g}\n")
         fh.write(
-            f"# eta_hat={first.fit.eta_hat:.15g} b_hat={first.fit.b_hat:.15g} "
-            f"fallback_used={first.fit.fallback_used} iterations={first.fit.iterations} "
-            f"notfound_boot={first.not_found_frequency_bootstrap:.15g}\n"
+            f"# eta_hat={fit.eta_hat:.15g} b_hat={fit.b_hat:.15g} "
+            f"fallback_used={fit.fallback_used} iterations={fit.iterations} "
+            f"notfound_boot={first.not_found_frequency_bootstrap:.15g} clipped={clipped}\n"
         )
         writer = csv.writer(fh)
         writer.writerow(["test", "a", "statistic", "p_value", "critical_value", "reject"])

@@ -25,6 +25,11 @@ __all__ = [
 EPS = 1e-15
 
 
+def _clip_count(u):
+    """Number of PIT values outside [EPS, 1-EPS], which the statistics clip."""
+    return int(np.count_nonzero((u < EPS) | (u > 1.0 - EPS)))
+
+
 @dataclass(frozen=True, eq=False)
 class EdfInput:
     """Sorted, clipped probability-integral transforms U_(1) <= ... <= U_(n).
@@ -45,7 +50,7 @@ class EdfInput:
             raise ValueError("EdfInput needs a nonempty one-dimensional collection")
         if not np.all(np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
             raise ValueError("probability-integral transforms must lie in [0, 1]")
-        clipped = bool(np.any(u < EPS) or np.any(u > 1.0 - EPS))
+        clipped = _clip_count(u) > 0
         u = np.sort(np.clip(u, EPS, 1.0 - EPS))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "n", u.size)

@@ -85,9 +85,13 @@ def parse_family(text):
 
 
 def _whole(v, what):
-    # Config-file text such as "50" converts; a number must not be truncated.
-    if isinstance(v, str) or int(v) == v:
-        return int(v)
+    # Config-file text such as "50" converts; a number must not be truncated,
+    # and int() of NaN, an infinity or non-numeric text raises.
+    try:
+        if isinstance(v, str) or int(v) == v:
+            return int(v)
+    except (OverflowError, ValueError):
+        pass
     raise ValueError(f"{what}: expected a whole number, got {v!r}")
 
 

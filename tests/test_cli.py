@@ -97,6 +97,18 @@ def test_gof_header_reports_the_data_fits_newton_iterations(tmp_path, capsys):
     assert fit.iterations > 0
 
 
+@pytest.mark.parametrize("scale, clipped", [(1.0, 0), (1e5, 95)])
+def test_gof_header_counts_the_clipped_pit_values(scale, clipped, tmp_path, capsys):
+    # at x1e5 the fit falls back and 95 of the data's PIT values leave [EPS, 1-EPS]
+    data = tmp_path / "x.csv"
+    x = gompertz_sample(GompertzParams(1, 1), 100, 3) * scale
+    data.write_text("value\n" + "".join(f"{v:.15g}\n" for v in x))
+    assert main(["gof", "--input", str(data), "--test", "ks", "--bootstrap", "20"]) == 0
+    header = capsys.readouterr().out.splitlines()[1]
+    fields = dict(f.split("=", 1) for f in header.lstrip("# ").split())
+    assert fields["clipped"] == str(clipped)
+
+
 def test_gof_writes_file(tmp_path, capsys):
     data = tmp_path / "x.csv"
     _write_sample(data, n=40, seed=2)

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -63,7 +64,12 @@ def test_config_validation():
 
 def test_config_rejects_non_integral_counts_instead_of_truncating():
     base = dict(scenarios=(GompertzParams(1, 1),), sizes=(20,))
-    for bad in (dict(sizes=(30.5,)), dict(replications=2.7), dict(bootstrap=19.9), dict(seed=1.9)):
+    bad_values = (
+        dict(sizes=(30.5,)), dict(replications=2.7), dict(bootstrap=19.9), dict(seed=1.9),
+        dict(sizes=(math.inf,)), dict(replications=math.inf), dict(bootstrap=math.inf),
+        dict(seed=math.inf), dict(replications=math.nan), dict(seed="-inf"),
+    )
+    for bad in bad_values:
         with pytest.raises(ValueError, match="whole number"):
             SimulationConfig(**{**base, **bad})
     # config-file text and integral numbers of any type still convert

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from gomptest import stein_statistic
 from gomptest.distributions import (
     AlternativeSpec,
     GompertzParams,
@@ -132,6 +133,41 @@ def test_closed_form_grid_is_bitwise_the_per_a_evaluation():
         a_big = 1.0 / float(np.min(width))
         assert np.all(a_big * width >= _MOMENT_SERIES_CUT)
         _assert_grid_bitwise(ys, eta, (0.1, a_big))
+
+
+@pytest.mark.parametrize("budget", ["one_row", "mid_batch", "one_block"])
+def test_stein_grid_does_not_depend_on_the_row_block(budget, monkeypatch):
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 30, 100, 1000):
+        m = 7
+        ys = np.sort(rng.exponential(1.0, (m, n)), axis=1) + 1e-3
+        eta = rng.uniform(0.2, 3.0, m)
+        # the big a puts elements on the ladder side of the cut
+        a_grid = DEFAULT_A_GRID + (1.0 / float(np.min(np.diff(ys, axis=1, prepend=0.0))),)
+        want = _t_closed_form_rows(ys, eta, a_grid)
+        block = {"one_row": 1, "mid_batch": (m // 2) * n, "one_block": m * n}[budget]
+        monkeypatch.setattr(stein_statistic, "_ROW_BLOCK", block)
+        got = _t_closed_form_rows(ys, eta, a_grid)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_form_is_finite_and_accurate_at_extreme_a():
+    # tiny a leaves every element on the series side, huge a puts every
+    # element on the ladder side; at a=1e30 the series overflows there
+    a_grid = (1e-8, 1e-3, 7.0, 1e3, 1e6, 1e12, 1e30)
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 5, 200):
+        ys = np.sort(rng.exponential(1.0, (3, n)), axis=1) + 1e-3
+        eta = rng.uniform(0.2, 3.0, 3)
+        grid = _t_closed_form_rows(ys, eta, a_grid)
+        assert np.all(np.isfinite(grid))
+        for r in range(3):
+            inp = StatisticInput(ys[r], eta[r])
+            for i, a in enumerate(a_grid):
+                want = t_statistic_quadrature(inp, WeightParam(a))
+                assert math.isclose(grid[i, r], want, rel_tol=1e-12), (n, a)
 
 
 def _case(rng):
