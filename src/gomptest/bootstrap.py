@@ -12,9 +12,19 @@ replicate's sample is therefore a pure function of (seed, j), independent
 of evaluation order, chunking or thread count, and repeated calls are
 bitwise identical. Several test kinds can share one set of bootstrap
 replicates because the draws do not depend on the kind.
+
+Memory: the replicates run in stages of consecutive rows holding about
+_STAGE_BLOCK elements each. A stage draws its rows, refits them and
+scores them before the next begins, so the (rows, n) arrays of one stage
+are all that is held besides the (B,) statistics, whatever B is. The
+stages draw in order from the one stream, and the fit and every statistic
+reduce within a row only, so a replicate's statistic does not depend on
+the stage size; test_bootstrap_does_not_depend_on_the_stage checks that
+bit for bit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +46,9 @@ __all__ = [
 
 # Every test kind's name; the CLI and the study run all of them by default.
 DEFAULT_TESTS = ("stein", "ks", "ad", "cm", "wa")
+# Elements per bootstrap stage, 1 MiB per float64 (rows, n) array: small
+# enough to bound memory, large enough to amortise numpy's per-call cost.
+_STAGE_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -140,15 +153,49 @@ def _statistic_rows(kinds, fits):
     return out
 
 
+def _checked_request(eta_hat, n, kinds, B):
+    """The kinds as a list, once a bootstrap of B samples of size n from
+    GO(eta_hat, 1) is known to be well posed; raises ValueError otherwise."""
+    if not (isinstance(eta_hat, numbers.Real) and math.isfinite(eta_hat) and eta_hat > 0.0):
+        raise ValueError(f"eta_hat must be positive and finite, got {eta_hat!r}")
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
+    if not (isinstance(B, numbers.Integral) and B >= 1):
+        raise ValueError(f"B must be an integer of at least 1, got {B!r}")
+    kinds = list(kinds)
+    if not kinds:
+        raise ValueError("at least one test kind is required")
+    if not all(isinstance(k, TestKind) for k in kinds):
+        raise ValueError("test kinds must be TestKind values")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError("duplicate test kinds")
+    return kinds
+
+
 def bootstrap_replicates(eta_hat, n, kinds, B, seed):
     """B bootstrap statistics per kind under GO(eta_hat, 1), plus refit info.
 
-    Returns (stats: {kind: (B,) array}, fallback_fraction).
+    Returns (stats: {kind: (B,) array}, fallback_fraction). The replicates
+    are drawn, refitted and scored in stages of about _STAGE_BLOCK
+    elements (at least one row), so memory is bounded by the stage size
+    and not by B*n; the result is bitwise the same for any stage size.
+    Raises ValueError unless eta_hat is positive and finite, n and B are
+    integers of at least 2 and 1, and the kinds are distinct TestKinds.
     """
-    u = _positive_uniforms(substream(seed), (B, n))
-    xstar = _gompertz_quantile_raw(eta_hat, 1.0, u)
-    fits = fit_batch(xstar)
-    return _statistic_rows(kinds, fits), float(np.mean(fits.fallback))
+    kinds = _checked_request(eta_hat, n, kinds, B)
+    gen = substream(seed)
+    stats = {kind: np.empty(B) for kind in kinds}
+    fallback = 0
+    rows = max(1, _STAGE_BLOCK // n)
+    for j0 in range(0, B, rows):
+        # consecutive draws continue the stream, so stage by stage this is
+        # the (B, n) draw of one call
+        u = _positive_uniforms(gen, (min(rows, B - j0), n))
+        fits = fit_batch(_gompertz_quantile_raw(eta_hat, 1.0, u))
+        for kind, values in _statistic_rows(kinds, fits).items():
+            stats[kind][j0 : j0 + values.size] = values
+        fallback += int(np.count_nonzero(fits.fallback))
+    return stats, float(fallback / B)
 
 
 def bootstrap_many(sample, kinds, B, alpha, seed):
@@ -159,18 +206,12 @@ def bootstrap_many(sample, kinds, B, alpha, seed):
     evaluations. Returns {kind: TestOutcome}.
     """
     x = _fittable(sample)
-    kinds = list(kinds)
-    if len(set(kinds)) != len(kinds):
-        raise ValueError("duplicate test kinds")
-    if not kinds:
-        raise ValueError("at least one test kind is required")
-    if B < 1:
-        raise ValueError(f"B must be at least 1, got {B}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
     fits = fit_batch(x[None, :])
     fit = fits.result(0)
+    kinds = _checked_request(fit.eta_hat, x.size, kinds, B)
     data_stats = _statistic_rows(kinds, fits)
 
     star_stats, nf_boot = bootstrap_replicates(fit.eta_hat, x.size, kinds, B, seed)

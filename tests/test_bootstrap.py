@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,14 @@ from gomptest.bootstrap import (
     bootstrap_test,
     empirical_quantile,
 )
-from gomptest.distributions import AlternativeSpec, GompertzParams, alt_sample, gompertz_sample
+from gomptest.distributions import (
+    AlternativeSpec,
+    GompertzParams,
+    _gompertz_quantile_raw,
+    _positive_uniforms,
+    alt_sample,
+    gompertz_sample,
+)
 from gomptest.edf_tests import (
     EdfInput,
     ad_statistic,
@@ -20,7 +28,8 @@ from gomptest.edf_tests import (
     ks_statistic,
     watson_statistic,
 )
-from gomptest.estimation import ScoreOverflowError, fit_mle, rescale
+from gomptest.estimation import ScoreOverflowError, fit_batch, fit_mle, rescale
+from gomptest.rng import substream
 from gomptest.simulation import DEFAULT_A_GRID
 from gomptest.stein_statistic import StatisticInput, WeightParam, t_statistic_closed_form
 
@@ -201,6 +210,24 @@ def test_validation():
         bootstrap_test([2.0, 2.0, 2.0], TestKind("ks"), B=50, alpha=0.05, seed=1)
     with pytest.raises(ValueError):
         bootstrap_test([1.0], TestKind("ks"), B=50, alpha=0.05, seed=1)
+    with pytest.raises(ValueError):
+        bootstrap_test(x, TestKind("ks"), B=2.5, alpha=0.05, seed=1)
+    # the replicates alone check their request too, before drawing anything
+    ks = [TestKind("ks")]
+    for eta_hat in (math.nan, math.inf, 0.0, -1.0, "1"):
+        with pytest.raises(ValueError, match="eta_hat"):
+            bootstrap_replicates(eta_hat, 30, ks, 50, 1)
+    for n in (1, 0, 30.0, 2.5):
+        with pytest.raises(ValueError, match="n must"):
+            bootstrap_replicates(1.0, n, ks, 50, 1)
+    for B in (0, -1, 2.5, 50.0):
+        with pytest.raises(ValueError, match="B must"):
+            bootstrap_replicates(1.0, 30, ks, B, 1)
+    for kinds in ([], ks + ks, ["ks"]):
+        with pytest.raises(ValueError, match="kind"):
+            bootstrap_replicates(1.0, 30, kinds, 50, 1)
+    stats, nf = bootstrap_replicates(1.0, np.int64(2), ks, np.int64(1), 1)
+    assert stats[TestKind("ks")].shape == (1,) and type(nf) is float
 
 
 def test_fallback_sample_still_tested():
@@ -209,3 +236,42 @@ def test_fallback_sample_still_tested():
     out = bootstrap_test(x, TestKind("stein", 1.0), B=80, alpha=0.05, seed=4)
     assert out.fit.fallback_used
     assert math.isfinite(out.statistic) and math.isfinite(out.critical_value)
+
+
+@pytest.mark.parametrize("budget", ["one_row", "ragged", "one_stage"])
+def test_bootstrap_does_not_depend_on_the_stage(budget, monkeypatch):
+    # gamma(0.8) data sit at the b->0 boundary, so fallback refits fall in
+    # stages that also hold converged ones
+    kinds = ALL_KINDS + [TestKind("stein", 10.0)]
+    B, seed = 11, 5
+    mixed = 0
+    for n in (2, 5, 30, 1000):
+        x = alt_sample(AlternativeSpec("gamma", k=0.8), n, seed=n)
+        eta_hat = fit_mle(x).eta_hat
+        # the unstaged pipeline: one (B, n) draw, refit and score
+        u = _positive_uniforms(substream(seed), (B, n))
+        fits = fit_batch(_gompertz_quantile_raw(eta_hat, 1.0, u))
+        want = bootstrap._statistic_rows(kinds, fits)
+        want_nf = float(np.mean(fits.fallback))
+        block = {"one_row": 1, "ragged": (B // 2) * n, "one_stage": B * n}[budget]
+        monkeypatch.setattr(bootstrap, "_STAGE_BLOCK", block)
+        got, nf = bootstrap_replicates(eta_hat, n, kinds, B, seed)
+        monkeypatch.undo()
+        for kind in kinds:
+            assert got[kind].tobytes() == want[kind].tobytes(), (n, kind)
+        assert nf.hex() == want_nf.hex(), n
+        mixed += 0.0 < nf < 1.0
+    assert mixed >= 2
+
+
+def test_bootstrap_memory_is_bounded_by_the_stage():
+    # an unstaged (B, n) pipeline peaks at about 122 MiB here
+    kinds = ALL_KINDS
+    tracemalloc.start()
+    try:
+        stats, _ = bootstrap_replicates(1.0, 5000, kinds, 400, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(stats[k].shape == (400,) for k in kinds)
+    assert peak < 16 * 8 * bootstrap._STAGE_BLOCK
