@@ -11,8 +11,8 @@ import sys
 from contextlib import contextmanager
 
 from .bootstrap import DEFAULT_TESTS, _expand_tests, bootstrap_many
-from .distributions import _gompertz_cdf_unit, alt_sample
-from .edf_tests import _clip_count
+from .distributions import alt_sample
+from .edf_tests import _fit_clip_count
 from .estimation import fit_mle
 from .lifetable import (
     _read_rows,
@@ -73,7 +73,7 @@ def cmd_gof(args):
     outcomes = bootstrap_many(x, kinds, B=args.bootstrap, alpha=args.alpha, seed=args.seed)
     first = outcomes[kinds[0]]
     fit = first.fit
-    clipped = _clip_count(_gompertz_cdf_unit(fit.eta_hat, fit.b_hat * x))
+    clipped = _fit_clip_count(x, fit)
     with _output(args.output) as fh:
         fh.write(f"# seed={args.seed} n={x.size} B={args.bootstrap} alpha={args.alpha:g}\n")
         fh.write(

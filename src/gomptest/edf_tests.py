@@ -11,7 +11,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .distributions import GompertzParams, gompertz_cdf
+from .distributions import GompertzParams, _gompertz_cdf_unit, gompertz_cdf
 
 __all__ = [
     "EdfInput",
@@ -28,6 +28,11 @@ EPS = 1e-15
 def _clip_count(u):
     """Number of PIT values outside [EPS, 1-EPS], which the statistics clip."""
     return int(np.count_nonzero((u < EPS) | (u > 1.0 - EPS)))
+
+
+def _fit_clip_count(x, fit):
+    """_clip_count of the sample x's PIT values under its fit, as the battery forms them."""
+    return _clip_count(_gompertz_cdf_unit(fit.eta_hat, fit.b_hat * x))
 
 
 @dataclass(frozen=True, eq=False)

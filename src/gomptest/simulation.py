@@ -23,6 +23,7 @@ import numpy as np
 
 from .bootstrap import DEFAULT_TESTS, _expand_tests, bootstrap_many
 from .distributions import AlternativeSpec, GompertzParams, _as_spec, alt_sample
+from .edf_tests import _fit_clip_count
 from .rng import _MASK64, derive_key
 
 __all__ = [
@@ -144,7 +145,9 @@ class SimulationConfig:
 @dataclass(frozen=True)
 class CellResult:
     """Counts for one (scenario, n) cell; rates divide by the replicates that
-    did not fail, M - failures (times B), and are NaN when all of them failed."""
+    did not fail, M - failures (times B), and are NaN when all of them failed.
+    clipped counts the data PIT values outside [EPS, 1-EPS], which the EDF
+    statistics clip, over the valid replicates' data fits."""
 
     scenario: str
     n: int
@@ -153,6 +156,7 @@ class CellResult:
     rejections: dict
     not_found_fit: int
     not_found_boot: int
+    clipped: int
     failures: int
     seconds: float
 
@@ -179,8 +183,9 @@ class SimulationReport:
 
 def _run_chunk(scenario, n, kinds, B, alpha, cell_seed, start, stop):
     """Replicates [start, stop) of one cell as one integer tally: rejections
-    per kind, then data-fit fallbacks, bootstrap refit fallbacks, failures."""
-    tally = np.zeros(len(kinds) + 3, dtype=np.int64)
+    per kind, then data-fit fallbacks, bootstrap refit fallbacks, clipped data
+    PIT values, failures."""
+    tally = np.zeros(len(kinds) + 4, dtype=np.int64)
     for i in range(start, stop):
         x = alt_sample(scenario, n, derive_key(cell_seed, i, 0))
         try:
@@ -193,7 +198,10 @@ def _run_chunk(scenario, n, kinds, B, alpha, cell_seed, start, stop):
         first = outcomes[kinds[0]]
         # frequency is k/B for integer k; recover the count exactly
         nf_boot = round(first.not_found_frequency_bootstrap * B)
-        tally[:-1] += [*(outcomes[k].reject for k in kinds), first.fit.fallback_used, nf_boot]
+        clipped = _fit_clip_count(x, first.fit)
+        tally[:-1] += [
+            *(outcomes[k].reject for k in kinds), first.fit.fallback_used, nf_boot, clipped
+        ]
     return tally
 
 
@@ -224,7 +232,7 @@ def run_study(config, workers=1, progress=True):
             t_cell = time.perf_counter()
             chunk = partial(_run_chunk, scenario, n, kinds, b, config.alpha, cell_seed)
             tally = sum(run(chunk, *zip(*_cell_chunks(m, workers))))
-            *rejected, nf_fit, nf_boot, failures = map(int, tally)
+            *rejected, nf_fit, nf_boot, clipped, failures = map(int, tally)
             cell = CellResult(
                 scenario=label,
                 n=n,
@@ -233,6 +241,7 @@ def run_study(config, workers=1, progress=True):
                 rejections=dict(zip(kinds, rejected)),
                 not_found_fit=nf_fit,
                 not_found_boot=nf_boot,
+                clipped=clipped,
                 failures=failures,
                 seconds=time.perf_counter() - t_cell,
             )
@@ -252,12 +261,16 @@ def run_study(config, workers=1, progress=True):
 
 
 def report_to_csv(report):
-    """One CSV row per (scenario, n, test); rates over valid_replications, 4 decimals."""
+    """One CSV row per (scenario, n, test); rates over valid_replications, 4 decimals.
+
+    clipped is the cell's count of data PIT values that the EDF statistics
+    clip (see CellResult), the same on every row of the cell.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
         ["scenario", "n", "test", "a", "rejection_rate", "notfound_fit", "notfound_boot",
-         "failures", "valid_replications"]
+         "failures", "valid_replications", "clipped"]
     )
     for cell in report.cells:
         for kind in cell.rejections:
@@ -272,6 +285,7 @@ def report_to_csv(report):
                     f"{cell.not_found_boot_rate():.4f}",
                     cell.failures,
                     cell.replications - cell.failures,
+                    cell.clipped,
                 ]
             )
     return buf.getvalue()

@@ -24,7 +24,8 @@ SMALL = dict(replications=20, bootstrap=40, seed=11, alpha=0.05)
 
 def _counts(report):
     return [
-        (c.scenario, c.n, dict(c.rejections), c.not_found_fit, c.not_found_boot, c.failures)
+        (c.scenario, c.n, dict(c.rejections), c.not_found_fit, c.not_found_boot, c.clipped,
+         c.failures)
         for c in report.cells
     ]
 
@@ -193,7 +194,7 @@ def test_report_csv_format_and_parse_back():
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == [
         "scenario", "n", "test", "a", "rejection_rate", "notfound_fit", "notfound_boot",
-        "failures", "valid_replications",
+        "failures", "valid_replications", "clipped",
     ]
     assert len(rows) == 1 + 2  # one row per (cell, kind)
     by_test = {r[2]: r for r in rows[1:]}
@@ -204,14 +205,17 @@ def test_report_csv_format_and_parse_back():
         assert abs(float(row[4]) - cell.rejection_rate(kind)) <= 5e-5
         assert abs(float(row[5]) - cell.not_found_fit_rate()) <= 5e-5
         assert abs(float(row[6]) - cell.not_found_boot_rate()) <= 5e-5
-        assert row[7:] == [str(cell.failures), str(cell.replications - cell.failures)]
+        assert row[7:] == [
+            str(cell.failures), str(cell.replications - cell.failures), str(cell.clipped)
+        ]
 
 
 def test_report_csv_empty_report():
     cfg = SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(20,))
     text = report_to_csv(SimulationReport(config=cfg, cells=(), seconds=0.0))
     assert text.splitlines() == [
-        "scenario,n,test,a,rejection_rate,notfound_fit,notfound_boot,failures,valid_replications"
+        "scenario,n,test,a,rejection_rate,notfound_fit,notfound_boot,failures,valid_replications,"
+        "clipped"
     ]
 
 
@@ -294,7 +298,8 @@ def test_config_full_scale_words(tmp_path):
 
 
 def test_rates_exclude_failed_replicates():
-    # 8 of the 20 replicates raise ScoreOverflowError; all 12 others reject
+    # 8 of the 20 replicates raise ScoreOverflowError; all 12 others reject,
+    # and their fallback fits leave 229 of the 360 data PIT values to be clipped
     cfg = SimulationConfig(
         scenarios=(AlternativeSpec("lognormal", sigma=6),), sizes=(30,), tests=("ks",),
         replications=20, bootstrap=20, seed=1,
@@ -302,13 +307,12 @@ def test_rates_exclude_failed_replicates():
     report = run_study(cfg, progress=False)
     cell = report.cells[0]
     kind = TestKind("ks")
-    assert (cell.failures, cell.rejections[kind], cell.not_found_fit, cell.not_found_boot) == (
-        8, 12, 12, 92
-    )
+    counts = (cell.failures, cell.rejections[kind], cell.not_found_fit, cell.not_found_boot)
+    assert counts + (cell.clipped,) == (8, 12, 12, 92, 229)
     assert cell.rejection_rate(kind) == 1.0
     assert cell.not_found_fit_rate() == 1.0
     assert cell.not_found_boot_rate() == 92 / (12 * 20)
-    assert report_to_csv(report).splitlines()[1] == "lognormal(6),30,ks,NA,1.0000,1.0000,0.3833,8,12"
+    assert report_to_csv(report).splitlines()[1] == "lognormal(6),30,ks,NA,1.0000,1.0000,0.3833,8,12,229"
 
 
 def test_rates_are_nan_when_every_replicate_fails():
@@ -318,7 +322,7 @@ def test_rates_are_nan_when_every_replicate_fails():
     )
     report = run_study(cfg, progress=False)
     cell = report.cells[0]
-    assert cell.failures == 4
+    assert (cell.failures, cell.clipped) == (4, 0)
     assert np.isnan(cell.rejection_rate(TestKind("ks")))
     assert np.isnan(cell.not_found_fit_rate()) and np.isnan(cell.not_found_boot_rate())
-    assert report_to_csv(report).splitlines()[1] == "lognormal(20),30,ks,NA,nan,nan,nan,4,0"
+    assert report_to_csv(report).splitlines()[1] == "lognormal(20),30,ks,NA,nan,nan,nan,4,0,0"
