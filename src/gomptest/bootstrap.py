@@ -211,13 +211,12 @@ def bootstrap_many(sample, kinds, B, alpha, seed):
 
     fits = fit_batch(x[None, :])
     fit = fits.result(0)
-    kinds = _checked_request(fit.eta_hat, x.size, kinds, B)
-    data_stats = _statistic_rows(kinds, fits)
-
+    # bootstrap_replicates checks the request; its stats hold the kinds in order
     star_stats, nf_boot = bootstrap_replicates(fit.eta_hat, x.size, kinds, B, seed)
+    data_stats = _statistic_rows(list(star_stats), fits)
 
     out = {}
-    for kind in kinds:
+    for kind in star_stats:
         t_data = float(data_stats[kind][0])
         tstar = star_stats[kind]
         crit = empirical_quantile(tstar, 1.0 - alpha)

@@ -24,6 +24,7 @@ from .lifetable import (
 )
 from .simulation import (
     DEFAULT_A_GRID,
+    _split_list,
     config_from_file,
     parse_family,
     report_to_csv,
@@ -66,10 +67,7 @@ def cmd_fit(args):
 
 def cmd_gof(args):
     x = _read_rows(args.input)
-    kinds = _expand_tests(
-        [t for t in args.test.split(",") if t.strip()],
-        [float(a) for a in args.a.split(",") if a.strip()],
-    )
+    kinds = _expand_tests(_split_list(args.test), [float(a) for a in _split_list(args.a)])
     outcomes = bootstrap_many(x, kinds, B=args.bootstrap, alpha=args.alpha, seed=args.seed)
     first = outcomes[kinds[0]]
     fit = first.fit
@@ -125,20 +123,8 @@ def cmd_lifetable(args):
 
 
 def cmd_sample(args):
-    tokens, n, seed = [], args.n, args.seed
-    for tok in args.spec:
-        key, sep, val = tok.partition("=")
-        if sep and key == "n" and n is None:
-            n = int(val)
-        elif sep and key == "seed" and seed is None:
-            seed = int(val)
-        else:
-            tokens.append(tok)
-    if n is None:
-        raise ValueError("sample size is required (n=... or --n)")
-    seed = 0 if seed is None else seed
-    values = alt_sample(parse_family(" ".join(tokens)), n, seed)
-    _write_column(args.output, values, seed=seed)
+    values = alt_sample(parse_family(" ".join(args.spec)), args.n, args.seed)
+    _write_column(args.output, values, seed=args.seed)
     return 0
 
 
@@ -183,10 +169,9 @@ def _build_parser():
     p_lt.set_defaults(func=cmd_lifetable)
 
     p_smp = sub.add_parser("sample", help="draw from a distribution family")
-    p_smp.add_argument("spec", nargs="+",
-                       help="family spec, e.g. gompertz eta=1 b=1 n=100 seed=7")
-    p_smp.add_argument("--n", type=int, default=None)
-    p_smp.add_argument("--seed", type=int, default=None)
+    p_smp.add_argument("spec", nargs="+", help="family spec, e.g. gompertz eta=1 b=1")
+    p_smp.add_argument("--n", type=int, required=True)
+    p_smp.add_argument("--seed", type=int, default=0)
     p_smp.add_argument("--output", default=None, help="write sample CSV here (default stdout)")
     p_smp.set_defaults(func=cmd_sample)
     return parser

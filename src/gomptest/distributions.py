@@ -8,6 +8,7 @@ share those uniforms, which keeps couplings like Pow(1) == U(0,1) exact.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,8 +312,8 @@ def alt_sample(spec, n, seed):
     gompertz_sample uses, so e.g. power(nu=1) reproduces uniform(c=1) draw
     for draw under a shared seed.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     spec = _as_spec(spec)
     return _FAMILIES[spec.family].sample(substream(seed), n, **spec.params)
 

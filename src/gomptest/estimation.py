@@ -120,8 +120,7 @@ def pilot_from_cumhaz(z, lam_z, lam_half):
 def pilot_scale(sample):
     """Pilot estimate of b from Nelson-Aalen values at the 90th percentile.
 
-    Raises PilotFailedError when the hazard ratio is degenerate; callers
-    are expected to fall back to a grid search over b.
+    Raises PilotFailedError when the hazard ratio is degenerate.
     """
     x = as_sample(sample)
     if x.size < PILOT_MIN_N:

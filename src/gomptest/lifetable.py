@@ -9,6 +9,7 @@ produce synthetic lifetimes for the goodness-of-fit tests.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +149,8 @@ def sample_lifetimes(pmf, n, seed, jitter=False):
     positive lifetimes. Without jitter, positive mass at age 0 is refused
     because downstream tests need strictly positive samples.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     if not jitter and pmf.ages[0] == 0 and pmf.masses[0] > 0.0:
         raise ValueError(
             "pmf puts mass at age 0; enable jitter or truncate the left tail"

@@ -11,11 +11,12 @@ reductions are integer counts.
 import csv
 import io
 import math
+import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from itertools import product
 
@@ -39,10 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_A_GRID = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
-DESK_REPLICATIONS = 1000
-DESK_BOOTSTRAP = 500
-FULL_REPLICATIONS = 10000
-FULL_BOOTSTRAP = 2000
 
 
 def _fnv1a(text):
@@ -105,8 +102,8 @@ class SimulationConfig:
     a_grid: tuple = DEFAULT_A_GRID
     tests: tuple = DEFAULT_TESTS
     alpha: float = 0.05
-    replications: int = DESK_REPLICATIONS
-    bootstrap: int = DESK_BOOTSTRAP
+    replications: int = 1000
+    bootstrap: int = 500
     seed: int = 0
 
     def __post_init__(self):
@@ -216,10 +213,11 @@ def run_study(config, workers=1, progress=True):
     """Run the full study grid; deterministic in config.seed for any workers.
 
     With workers > 1 one process pool serves every cell; otherwise the
-    chunks are mapped in-process. Raises ValueError when workers < 1.
+    chunks are mapped in-process. Raises ValueError unless workers is an
+    integer of at least 1.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     kinds = config.kinds()
     m, b = config.replications, config.bootstrap
     cells = []
@@ -291,57 +289,43 @@ def report_to_csv(report):
     return buf.getvalue()
 
 
-# Each config-file key and the SimulationConfig field it sets; full_scale is
-# the one key that is not a field.
-_CONFIG_FIELDS = {
-    "scenarios": "scenarios", "sizes": "sizes", "n": "sizes", "a": "a_grid",
-    "tests": "tests", "alpha": "alpha", "replications": "replications",
-    "m": "replications", "bootstrap": "bootstrap", "b": "bootstrap",
-    "seed": "seed", "full_scale": "full_scale",
-}
-_LIST_SEPARATORS = {"scenarios": ";", "sizes": ",", "a_grid": ",", "tests": ","}
-_FLAG_WORDS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
+def _split_list(text, sep=","):
+    """The stripped, nonempty items of a `sep`-separated list."""
+    return tuple(p.strip() for p in text.split(sep) if p.strip())
 
 
 def config_from_file(path):
     """Parse a flat key=value study config into a SimulationConfig.
 
-    Keys: scenarios (';'-separated 'family key=value ...' specs), sizes (or
-    n, comma-separated), a (comma-separated grid), tests (comma-separated
-    names), alpha, replications (or m), bootstrap (or b), seed, full_scale
-    (1/true/yes/on or 0/false/no/off, any case; lifts M and B to the full
-    study scale unless given explicitly). Each setting may be given once,
-    under either spelling. Unset fields take SimulationConfig's defaults,
-    which also converts and checks every value. '#' starts a comment.
+    The keys are SimulationConfig's field names, in any case: scenarios
+    (';'-separated 'family key=value ...' specs), sizes, a_grid and tests
+    (comma-separated), alpha, replications, bootstrap and seed. Each may be
+    given once, and an unknown key raises ValueError. Unset fields take
+    SimulationConfig's defaults, which also converts and checks every
+    value. '#' starts a comment.
     """
-    fields = {}
+    by_name = {f.name: f for f in fields(SimulationConfig)}
+    settings = {}
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, val = line.partition("=")
-            field = _CONFIG_FIELDS.get(key.strip().lower())
-            if not sep or field is None:
-                raise ValueError(f"bad config line: {raw.rstrip()!r}")
-            if field in fields:
-                raise ValueError(f"config sets {field} twice: {raw.rstrip()!r}")
+            key = key.strip().lower()
+            if not sep or key not in by_name:
+                raise ValueError(
+                    f"bad config line {raw.rstrip()!r}; expected key = value with a key "
+                    f"from {', '.join(by_name)}"
+                )
+            if key in settings:
+                raise ValueError(f"config sets {key} twice: {raw.rstrip()!r}")
             val = val.strip()
-            if field in _LIST_SEPARATORS:
-                val = tuple(p.strip() for p in val.split(_LIST_SEPARATORS[field]) if p.strip())
-            fields[field] = val
-    if "scenarios" not in fields:
-        raise ValueError("config must set scenarios=")
-    if "sizes" not in fields:
-        raise ValueError("config must set sizes= (or n=)")
-    fields["scenarios"] = tuple(map(parse_family, fields["scenarios"]))
-    full = fields.pop("full_scale", "false").lower()
-    if full not in _FLAG_WORDS:
-        raise ValueError(f"full_scale must be one of {', '.join(_FLAG_WORDS)}; got {full!r}")
-    if _FLAG_WORDS[full]:
-        fields.setdefault("replications", FULL_REPLICATIONS)
-        fields.setdefault("bootstrap", FULL_BOOTSTRAP)
-    return SimulationConfig(**fields)
+            if by_name[key].type is tuple:  # the tuple-typed fields are lists
+                val = _split_list(val, ";" if key == "scenarios" else ",")
+            settings[key] = val
+    missing = [k for k, f in by_name.items() if f.default is MISSING and k not in settings]
+    if missing:
+        raise ValueError(f"config must set {' and '.join(missing)}")
+    settings["scenarios"] = tuple(map(parse_family, settings["scenarios"]))
+    return SimulationConfig(**settings)

@@ -100,6 +100,22 @@ def test_single_kind_equals_battery():
         assert one.reject == many[kind].reject
 
 
+def test_battery_checks_its_request_once_and_takes_a_one_shot_iterator(monkeypatch):
+    calls = []
+    inner = bootstrap._checked_request
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(bootstrap, "_checked_request", spy)
+    x = gompertz_sample(GompertzParams(0.5, 1.0), 50, seed=3)
+    listed = bootstrap_many(x, ALL_KINDS, B=60, alpha=0.05, seed=7)
+    once = bootstrap_many(x, iter(ALL_KINDS), B=60, alpha=0.05, seed=7)
+    assert len(calls) == 2
+    assert list(once) == list(ALL_KINDS) and once == listed
+
+
 def test_outcome_reconstructed_from_replicates():
     # the pipeline decomposes into public pieces: data statistic, replicate
     # statistics, order-statistic critical value, counting p-value

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from gomptest.cli import main
 from gomptest.distributions import AlternativeSpec, GompertzParams, alt_sample, gompertz_sample
 from gomptest.estimation import fit_mle
+from gomptest.simulation import SimulationConfig
 
 
 def _write_sample(path, n=80, seed=7, eta=1.0, b=1.0):
@@ -130,49 +132,41 @@ def test_gof_validation(tmp_path, capsys):
 
 def test_sample_token_form_and_determinism(tmp_path, capsys):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["sample", "gompertz", "eta=1", "b=1", "n=50", "seed=7",
+    assert main(["sample", "gompertz", "eta=1", "b=1", "--n", "50", "--seed", "7",
                  "--output", str(f1)]) == 0
-    assert main(["sample", "gompertz", "eta=1", "b=1", "n=50", "seed=7",
+    assert main(["sample", "gompertz", "eta=1", "b=1", "--n", "50", "--seed", "7",
                  "--output", str(f2)]) == 0
     capsys.readouterr()
     assert f1.read_text() == f2.read_text()
     assert f1.read_text().startswith("# seed=7\nvalue\n")
 
 
-def test_sample_flag_form_matches_token_form(tmp_path, capsys):
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["sample", "gamma", "k=3", "n=30", "seed=4", "--output", str(f1)])
-    main(["sample", "gamma", "k=3", "--n", "30", "--seed", "4", "--output", str(f2)])
-    capsys.readouterr()
-    assert f1.read_text() == f2.read_text()
-
-
 def test_sample_power_one_equals_uniform(tmp_path, capsys):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["sample", "pow", "nu=1", "n=40", "seed=3", "--output", str(f1)])
-    main(["sample", "u", "c=1", "n=40", "seed=3", "--output", str(f2)])
+    main(["sample", "pow", "nu=1", "--n", "40", "--seed", "3", "--output", str(f1)])
+    main(["sample", "u", "c=1", "--n", "40", "--seed", "3", "--output", str(f2)])
     capsys.readouterr()
     assert f1.read_text() == f2.read_text()
 
 
 def test_sample_errors(capsys):
-    assert main(["sample", "nosuch", "x=1", "n=5"]) == 2
+    assert main(["sample", "nosuch", "x=1", "--n", "5"]) == 2
     assert main(["sample", "gamma", "k=3"]) == 2  # n missing
-    assert main(["sample", "gamma", "k=3", "n=0"]) == 2
+    assert main(["sample", "gamma", "k=3", "--n", "0"]) == 2
     capsys.readouterr()
 
 
 def test_sample_seeds_outside_64_bits_exit_2(capsys):
     # distinct seeds must not alias modulo 2^64 while the header echoes them
-    base = ["sample", "gompertz", "eta=1", "b=1", "n=3"]
-    assert main(base + ["seed=0"]) == 0
+    base = ["sample", "gompertz", "eta=1", "b=1", "--n", "3"]
+    assert main(base + ["--seed", "0"]) == 0
     low = capsys.readouterr().out
-    assert main(base + [f"seed={2**64 - 1}"]) == 0
+    assert main(base + ["--seed", f"{2**64 - 1}"]) == 0
     high = capsys.readouterr().out
     assert low.startswith("# seed=0\n") and high.startswith(f"# seed={2**64 - 1}\n")
     assert low.splitlines()[1:] != high.splitlines()[1:]
     for seed in (2**64, -1):
-        assert main(base + [f"seed={seed}"]) == 2
+        assert main(base + ["--seed", f"{seed}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "2**64" in captured.err
 
@@ -213,8 +207,8 @@ def test_lifetable_errors(tmp_path, capsys):
 def test_simulate_small_config(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(
-        "scenarios = gompertz eta=1 b=1\nn = 15\na = 1\ntests = stein\n"
-        "m = 8\nb = 40\nseed = 4\n"
+        "scenarios = gompertz eta=1 b=1\nsizes = 15\na_grid = 1\ntests = stein\n"
+        "replications = 8\nbootstrap = 40\nseed = 4\n"
     )
     out = tmp_path / "rep.csv"
     assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
@@ -232,7 +226,10 @@ def test_simulate_errors(tmp_path, capsys):
     bad.write_text("scenarios = gompertz eta=1 b=1\nbogus = 1\n")
     assert main(["simulate", "--config", str(bad)]) == 2
     good = tmp_path / "good.cfg"
-    good.write_text("scenarios = gompertz eta=1 b=1\nn = 15\ntests = ks\nm = 2\nb = 10\n")
+    good.write_text(
+        "scenarios = gompertz eta=1 b=1\nsizes = 15\ntests = ks\nreplications = 2\n"
+        "bootstrap = 10\n"
+    )
     assert main(["simulate", "--config", str(good), "--workers", "-3"]) == 2
     assert main(["simulate", "--config", str(good), "--workers", "0"]) == 2
     capsys.readouterr()
@@ -240,11 +237,31 @@ def test_simulate_errors(tmp_path, capsys):
 
 def test_simulate_rejects_a_setting_given_twice(tmp_path, capsys):
     cfg = tmp_path / "twice.cfg"
-    cfg.write_text("scenarios = gompertz eta=1 b=1\nn = 15\nsizes = 20\ntests = ks\nm = 2\nb = 10\n")
+    cfg.write_text(
+        "scenarios = gompertz eta=1 b=1\nsizes = 15\nsizes = 20\ntests = ks\n"
+        "replications = 2\nbootstrap = 10\n"
+    )
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "twice" in capsys.readouterr().err
 
 
+def test_removed_spellings_are_refused(tmp_path, capsys):
+    # a config key is a SimulationConfig field name, and sample takes its size
+    # and seed only as --n and --seed
+    keys = ", ".join(f.name for f in dataclasses.fields(SimulationConfig))
+    cfg = tmp_path / "study.cfg"
+    for line in ("n = 15", "m = 2", "b = 10", "a = 1", "full_scale = on"):
+        cfg.write_text(f"scenarios = gompertz eta=1 b=1\nsizes = 15\ntests = ks\n{line}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad config line {line!r}" in err and keys in err, err
+    assert main(["sample", "gamma", "k=3", "n=5", "seed=3"]) == 2
+    assert "required: --n" in capsys.readouterr().err
+    for token in ("n=5", "seed=3"):
+        assert main(["sample", "gamma", "k=3", token, "--n", "5"]) == 2
+        assert "takes parameters" in capsys.readouterr().err
+
+
 def test_sample_rejects_a_repeated_key(capsys):
-    assert main(["sample", "gamma", "k=1", "k=3", "n=5"]) == 2
+    assert main(["sample", "gamma", "k=1", "k=3", "--n", "5"]) == 2
     assert "repeated key" in capsys.readouterr().err

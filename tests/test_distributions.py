@@ -216,6 +216,19 @@ def test_sample_size_validation():
         alt_sample(AlternativeSpec("gamma", k=1), 0, seed=1)
 
 
+def test_sample_size_must_be_an_integer():
+    # the count rule of the bootstrap's request check; a NumPy integer counts
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="integer"):
+            gompertz_sample(GompertzParams(1, 1), n, seed=1)
+        with pytest.raises(ValueError, match="integer"):
+            alt_sample(AlternativeSpec("gamma", k=1), n, seed=1)
+    assert np.array_equal(
+        gompertz_sample(GompertzParams(1, 1), np.int64(5), seed=1),
+        gompertz_sample(GompertzParams(1, 1), 5, seed=1),
+    )
+
+
 _PIN_X = (0.25, 0.9, 2.5)
 # Each family's exact behaviour: (distribution, first 16 hex digits of the
 # sha256 of its 50 draws at seed 3, its density at _PIN_X, its exponential

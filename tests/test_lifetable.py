@@ -149,6 +149,14 @@ def test_sampling_validation():
         sample_lifetimes(u, 0, seed=1)
 
 
+def test_sample_size_must_be_an_integer():
+    u = Pmf(ages=np.arange(1, 4), masses=np.array([0.5, 0.25, 0.25]))
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="integer"):
+            sample_lifetimes(u, n, seed=1)
+    assert np.array_equal(sample_lifetimes(u, np.int64(5), seed=1), sample_lifetimes(u, 5, seed=1))
+
+
 def test_csv_round_trips(tmp_path):
     lt_path = tmp_path / "lt.csv"
     lt_path.write_text("# period table\nage,hazard\n0,0.5\n# mid-table note\n1,0.25\n2,1.0\n")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -86,6 +87,19 @@ def test_run_study_rejects_fewer_than_one_worker():
     cfg = SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(15,), tests=("ks",), **SMALL)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
+            run_study(cfg, workers=workers, progress=False)
+
+
+def test_run_study_rejects_a_non_integer_worker_count_before_starting_a_pool(monkeypatch):
+    import gomptest.simulation as simulation
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+    cfg = SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(15,), tests=("ks",), **SMALL)
+    for workers in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="workers must be an integer"):
             run_study(cfg, workers=workers, progress=False)
 
 
@@ -225,11 +239,11 @@ def test_config_from_file(tmp_path):
         "# comment\n"
         "scenarios = gompertz eta=1 b=1; gamma k=3\n"
         "sizes = 20, 50\n"
-        "a = 1, 2\n"
+        "a_grid = 1, 2\n"
         "tests = stein, ad\n"
         "alpha = 0.1\n"
-        "m = 25\n"
-        "b = 40\n"
+        "replications = 25\n"
+        "bootstrap = 40\n"
         "seed = 7\n"
     )
     cfg = config_from_file(p)
@@ -239,14 +253,30 @@ def test_config_from_file(tmp_path):
     assert cfg.replications == 25 and cfg.bootstrap == 40 and cfg.seed == 7
 
 
-def test_config_full_scale_flag(tmp_path):
-    p = tmp_path / "full.cfg"
-    p.write_text("scenarios = gompertz eta=1 b=1\nn = 50\nfull_scale = true\n")
-    cfg = config_from_file(p)
-    assert cfg.replications == 10000 and cfg.bootstrap == 2000
-    # explicit budgets win over the flag
-    p.write_text("scenarios = gompertz eta=1 b=1\nn = 50\nfull_scale = true\nm = 100\n")
-    assert config_from_file(p).replications == 100
+def test_config_keys_are_the_fields_of_simulation_config(tmp_path):
+    # each key's text in a config file and the value that sets the same field
+    # through the constructor
+    settings = {
+        "scenarios": ("gamma k=3; ln sigma=0.5",
+                      (AlternativeSpec("gamma", k=3), AlternativeSpec("lognormal", sigma=0.5))),
+        "sizes": ("20, 50", (20, 50)),
+        "a_grid": ("1, 2.5", (1.0, 2.5)),
+        "tests": ("stein, AD", ("stein", "ad")),
+        "alpha": ("0.1", 0.1),
+        "replications": ("25", 25),
+        "bootstrap": ("40", 40),
+        "seed": ("7", 7),
+    }
+    assert list(settings) == [f.name for f in dataclasses.fields(SimulationConfig)]
+    p = tmp_path / "study.cfg"
+    for key, (text, value) in settings.items():
+        lines = {"scenarios": "gompertz eta=1 b=1", "sizes": "30", key: text}
+        p.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        expected = dict(scenarios=(GompertzParams(1, 1),), sizes=(30,))
+        assert config_from_file(p) == SimulationConfig(**{**expected, key: value}), key
+    # keys match in any case
+    p.write_text("".join(f"{k.upper()} = {text}\n" for k, (text, _) in settings.items()))
+    assert config_from_file(p) == SimulationConfig(**{k: v for k, (_, v) in settings.items()})
 
 
 def test_config_file_errors(tmp_path):
@@ -257,10 +287,10 @@ def test_config_file_errors(tmp_path):
     p.write_text("scenarios = gompertz eta=1 b=1\n")
     with pytest.raises(ValueError):
         config_from_file(p)  # sizes missing
-    p.write_text("scenarios = gompertz eta=1 b=1\nn = 20\nbogus = 3\n")
+    p.write_text("scenarios = gompertz eta=1 b=1\nsizes = 20\nbogus = 3\n")
     with pytest.raises(ValueError):
         config_from_file(p)
-    p.write_text("scenarios = gompertz eta=1 b=1\nn = 20\ntests = nope\n")
+    p.write_text("scenarios = gompertz eta=1 b=1\nsizes = 20\ntests = nope\n")
     with pytest.raises(ValueError):
         config_from_file(p)
 
@@ -275,25 +305,14 @@ def test_parse_family_rejects_a_repeated_key():
 def test_config_rejects_a_setting_given_twice(tmp_path):
     p = tmp_path / "twice.cfg"
     head = "scenarios = gompertz eta=1 b=1\n"
-    for lines in ("n = 20\nsizes = 50\n", "n = 20\nm = 100\nreplications = 50\n",
-                  "n = 20\nseed = 1\nseed = 2\n", "n = 20\nb = 40\nbootstrap = 40\n",
-                  "sizes = 20\nscenarios = gamma k=3\n", "n = 20\nfull_scale = 1\nfull_scale = 0\n"):
+    for lines in ("sizes = 20\nsizes = 50\n",
+                  "sizes = 20\nreplications = 100\nreplications = 50\n",
+                  "sizes = 20\nseed = 1\nseed = 2\n",
+                  "sizes = 20\nbootstrap = 40\nbootstrap = 40\n",
+                  "sizes = 20\nscenarios = gamma k=3\n",
+                  "sizes = 20\na_grid = 1\na_grid = 2\n"):
         p.write_text(head + lines)
         with pytest.raises(ValueError, match="twice"):
-            config_from_file(p)
-
-
-def test_config_full_scale_words(tmp_path):
-    p = tmp_path / "full.cfg"
-    full, desk = (10000, 2000), (1000, 500)
-    for word, scale in [("1", full), ("TRUE", full), ("Yes", full), ("on", full),
-                        ("0", desk), ("false", desk), ("NO", desk), ("Off", desk)]:
-        p.write_text(f"scenarios = gompertz eta=1 b=1\nn = 50\nfull_scale = {word}\n")
-        cfg = config_from_file(p)
-        assert (cfg.replications, cfg.bootstrap) == scale
-    for word in ("ture", "", "2", "y"):
-        p.write_text(f"scenarios = gompertz eta=1 b=1\nn = 50\nfull_scale = {word}\n")
-        with pytest.raises(ValueError, match="full_scale"):
             config_from_file(p)
 
 
