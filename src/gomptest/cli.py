@@ -10,7 +10,7 @@ import csv
 import sys
 from contextlib import contextmanager
 
-from .bootstrap import DEFAULT_TESTS, _expand_tests, bootstrap_many
+from .bootstrap import DEFAULT_TESTS, _a_column, _expand_tests, bootstrap_many
 from .distributions import alt_sample
 from .edf_tests import _fit_clip_count
 from .estimation import fit_mle
@@ -86,7 +86,7 @@ def cmd_gof(args):
             writer.writerow(
                 [
                     kind.name,
-                    f"{kind.a:g}" if kind.a is not None else "NA",
+                    _a_column(kind),
                     f"{out.statistic:.15g}",
                     f"{out.p_value:.15g}",
                     f"{out.critical_value:.15g}",

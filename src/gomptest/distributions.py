@@ -36,13 +36,8 @@ class GompertzParams:
     b: float
 
     def __post_init__(self):
-        eta, b = float(self.eta), float(self.b)
-        if not (math.isfinite(eta) and eta > 0):
-            raise ValueError(f"eta must be a positive finite real, got {self.eta!r}")
-        if not (math.isfinite(b) and b > 0):
-            raise ValueError(f"b must be a positive finite real, got {self.b!r}")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "eta", _positive(self.eta, "eta"))
+        object.__setattr__(self, "b", _positive(self.b, "b"))
 
 
 def as_sample(values):
@@ -53,6 +48,32 @@ def as_sample(values):
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise ValueError("sample values must be strictly positive and finite")
     return x
+
+
+# The rules for scalar inputs; each raises ValueError naming the argument. A bool is
+# not a number, and text is converted where it arrives: config reader, parse_family, CLI.
+
+
+def _count(v, name, least):
+    """v as an int, once it is an integer (not a bool) of at least `least`."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral) and v >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {v!r}")
+    return int(v)
+
+
+def _positive(v, name):
+    """v as a float, once it is a finite real number (not a bool) above 0."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+        raise ValueError(f"{name} must be a positive finite real, got {v!r}")
+    return float(v)
+
+
+def _level(v, name):
+    """v as a float, once it is a real number strictly inside (0, 1)."""
+    # True and False are 1 and 0, which lie outside
+    if not (isinstance(v, numbers.Real) and 0 < v < 1):
+        raise ValueError(f"{name} must be a real strictly inside (0, 1), got {v!r}")
+    return float(v)
 
 
 def gompertz_pdf(p, x):
@@ -271,15 +292,12 @@ class AlternativeSpec:
             )
         clean = {}
         for key in required:
-            v = float(params[key])
-            if not math.isfinite(v):
-                raise ValueError(f"{name}.{key} must be finite, got {params[key]!r}")
-            if key in fam.unit:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{name}.{key} must lie in [0, 1], got {v}")
-            elif v <= 0.0:
-                raise ValueError(f"{name}.{key} must be strictly positive, got {v}")
-            clean[key] = v
+            if key not in fam.unit:
+                clean[key] = _positive(params[key], f"{name}.{key}")
+            elif 0.0 <= float(params[key]) <= 1.0:  # NaN fails too
+                clean[key] = float(params[key])
+            else:
+                raise ValueError(f"{name}.{key} must lie in [0, 1], got {params[key]!r}")
         object.__setattr__(self, "family", name)
         object.__setattr__(self, "params", clean)
 
@@ -312,8 +330,7 @@ def alt_sample(spec, n, seed):
     gompertz_sample uses, so e.g. power(nu=1) reproduces uniform(c=1) draw
     for draw under a shared seed.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+    n = _count(n, "n", 1)
     spec = _as_spec(spec)
     return _FAMILIES[spec.family].sample(substream(seed), n, **spec.params)
 

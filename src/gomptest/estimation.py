@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import as_sample
+from .distributions import _positive, as_sample
 
 __all__ = [
     "FitResult",
@@ -131,10 +131,9 @@ def pilot_scale(sample):
 
 def score_h(b, sample):
     """Profile score h(b) whose positive root is the scale MLE."""
-    if not (math.isfinite(b) and b > 0.0):
-        raise ValueError(f"score is defined for finite b > 0, got {b!r}")
+    b = _positive(b, "b")
     xs = np.sort(as_sample(sample))[None, :]
-    h, _ = _score_and_deriv(np.asarray([float(b)]), xs)
+    h, _ = _score_and_deriv(np.asarray([b]), xs)
     if not np.isfinite(h[0]):
         raise ScoreOverflowError(f"e^(b*x) overflows at b={b!r}")
     return float(h[0])

@@ -9,11 +9,11 @@ produce synthetic lifetimes for the goodness-of-fit tests.
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _count, _positive
 from .rng import substream
 
 __all__ = [
@@ -82,11 +82,9 @@ class Pmf:
             raise ValueError("masses must be finite and nonnegative")
         if abs(float(np.sum(p)) - 1.0) > SUM_TOL:
             raise ValueError("masses must sum to 1 within 1e-12")
-        if not (math.isfinite(self.raw_total) and self.raw_total > 0.0):
-            raise ValueError("raw_total must be a positive real")
         object.__setattr__(self, "ages", ages)
         object.__setattr__(self, "masses", p)
-        object.__setattr__(self, "raw_total", float(self.raw_total))
+        object.__setattr__(self, "raw_total", _positive(self.raw_total, "raw_total"))
 
 
 def hazard_to_pmf(table):
@@ -125,13 +123,12 @@ def truncate_pmf(pmf, L, R):
     """Restrict the pmf to ages strictly between L and R and renormalize.
 
     Ages <= L and >= R lose their mass; the interior is rescaled to sum to
-    one. L = first age - 1 (or lower) means no left cut. raw_total of the
-    result is the interior mass share, keeping hazard reconstruction exact
-    for the truncated law.
+    one. L and R are integers with L < R; L = first age - 1 (or lower)
+    means no left cut. raw_total of the result is the interior mass share,
+    keeping hazard reconstruction exact for the truncated law.
     """
-    L, R = int(L), int(R)
-    if L >= R:
-        raise ValueError(f"truncation needs L < R, got L={L}, R={R}")
+    L = _count(L, "L", -math.inf)
+    R = _count(R, "R", L + 1)
     inside = (pmf.ages > L) & (pmf.ages < R)
     if not np.any(inside):
         raise ValueError(f"no ages strictly between L={L} and R={R}")
@@ -149,8 +146,7 @@ def sample_lifetimes(pmf, n, seed, jitter=False):
     positive lifetimes. Without jitter, positive mass at age 0 is refused
     because downstream tests need strictly positive samples.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+    n = _count(n, "n", 1)
     if not jitter and pmf.ages[0] == 0 and pmf.masses[0] > 0.0:
         raise ValueError(
             "pmf puts mass at age 0; enable jitter or truncate the left tail"

@@ -33,8 +33,9 @@ def derive_key(seed, *path):
 
 
 def _word(v):
-    # NumPy integers are Integral; int() gives the equal Python int, so the same stream.
-    if not (isinstance(v, numbers.Integral) and 0 <= int(v) <= _MASK64):
+    # NumPy integers are Integral; int() gives the equal Python int, so the
+    # same stream. A bool is not a seed.
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral) and 0 <= int(v) <= _MASK64):
         raise ValueError(f"seeds and stream path parts must be integers in [0, 2**64), got {v!r}")
     return int(v)
 

@@ -11,7 +11,6 @@ reductions are integer counts.
 import csv
 import io
 import math
-import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,10 +21,11 @@ from itertools import product
 
 import numpy as np
 
-from .bootstrap import DEFAULT_TESTS, _expand_tests, bootstrap_many
-from .distributions import AlternativeSpec, GompertzParams, _as_spec, alt_sample
+from .bootstrap import DEFAULT_TESTS, _a_column, _expand_tests, bootstrap_many
+from .distributions import AlternativeSpec, GompertzParams, _as_spec, _count, _level, alt_sample
 from .edf_tests import _fit_clip_count
-from .rng import _MASK64, derive_key
+from .rng import _MASK64, _word, derive_key
+from .stein_statistic import WeightParam
 
 __all__ = [
     "DEFAULT_A_GRID",
@@ -83,14 +83,21 @@ def parse_family(text):
 
 
 def _whole(v, what):
-    # Config-file text such as "50" converts; a number must not be truncated,
-    # and int() of NaN, an infinity or non-numeric text raises.
+    # Config-file text such as "50" and whole floats such as 30.0 become ints, never
+    # truncated; other values, bool among them, go on to the rule that owns the setting.
+    if not isinstance(v, (str, float)):
+        return v
     try:
-        if isinstance(v, str) or int(v) == v:
+        if isinstance(v, str) or v.is_integer():
             return int(v)
-    except (OverflowError, ValueError):
+    except ValueError:
         pass
     raise ValueError(f"{what}: expected a whole number, got {v!r}")
+
+
+def _real(v):
+    # Config-file text such as "0.05" becomes a float; numbers go on as they are.
+    return float(v) if isinstance(v, str) else v
 
 
 @dataclass(frozen=True)
@@ -108,31 +115,21 @@ class SimulationConfig:
 
     def __post_init__(self):
         scen = tuple(self.scenarios)
-        if not scen:
-            raise ValueError("at least one scenario is required")
-        for s in scen:
-            if not isinstance(s, (GompertzParams, AlternativeSpec)):
-                raise ValueError(f"scenario must be a distribution spec, got {s!r}")
-        sizes = tuple(_whole(n, "sizes") for n in self.sizes)
-        if not sizes or any(n < 2 for n in sizes):
-            raise ValueError("sizes must be integers >= 2")
-        grid = tuple(float(a) for a in self.a_grid)
-        if not grid or any(not a > 0.0 for a in grid):
-            raise ValueError("a_grid must contain positive reals")
+        if not scen or not all(isinstance(s, (GompertzParams, AlternativeSpec)) for s in scen):
+            raise ValueError(f"scenarios must be distribution specs, at least one, got {scen!r}")
+        sizes = tuple(_count(_whole(n, "sizes"), "sizes", 2) for n in self.sizes)
+        grid = tuple(WeightParam(_real(a)).a for a in self.a_grid)
+        if not sizes or not grid:
+            raise ValueError("sizes and a_grid must each hold at least one value")
         tests = tuple(dict.fromkeys(k.name for k in _expand_tests(self.tests, grid)))
-        m, b = _whole(self.replications, "replications"), _whole(self.bootstrap, "bootstrap")
-        if m < 1 or b < 1:
-            raise ValueError("replications and bootstrap size must be >= 1")
-        if not 0.0 < float(self.alpha) < 1.0:
-            raise ValueError("alpha must lie strictly inside (0, 1)")
         object.__setattr__(self, "scenarios", scen)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "a_grid", grid)
         object.__setattr__(self, "tests", tests)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "replications", m)
-        object.__setattr__(self, "bootstrap", b)
-        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
+        object.__setattr__(self, "alpha", _level(_real(self.alpha), "alpha"))
+        for name in ("replications", "bootstrap"):
+            object.__setattr__(self, name, _count(_whole(getattr(self, name), name), name, 1))
+        object.__setattr__(self, "seed", _word(_whole(self.seed, "seed")))
 
     def kinds(self):
         """Expand the test names into concrete kinds ('stein' per a in grid)."""
@@ -216,8 +213,7 @@ def run_study(config, workers=1, progress=True):
     chunks are mapped in-process. Raises ValueError unless workers is an
     integer of at least 1.
     """
-    if not (isinstance(workers, numbers.Integral) and workers >= 1):
-        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
+    workers = _count(workers, "workers", 1)
     kinds = config.kinds()
     m, b = config.replications, config.bootstrap
     cells = []
@@ -277,7 +273,7 @@ def report_to_csv(report):
                     cell.scenario,
                     cell.n,
                     kind.name,
-                    f"{kind.a:g}" if kind.a is not None else "NA",
+                    _a_column(kind),
                     f"{cell.rejection_rate(kind):.4f}",
                     f"{cell.not_found_fit_rate():.4f}",
                     f"{cell.not_found_boot_rate():.4f}",

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .distributions import _FAMILIES, _as_spec, alt_pdf, as_sample
+from .distributions import _FAMILIES, _as_spec, _positive, alt_pdf, as_sample
 
 __all__ = [
     "WeightParam",
@@ -58,10 +58,7 @@ class WeightParam:
     a: float
 
     def __post_init__(self):
-        a = float(self.a)
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"weight parameter a must be a positive real, got {self.a!r}")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _positive(self.a, "weight parameter a"))
 
 
 def _weight_a(w):
@@ -86,9 +83,7 @@ class StatisticInput:
 
     def __post_init__(self):
         v = as_sample(self.values)
-        eta = float(self.eta_hat)
-        if not (math.isfinite(eta) and eta > 0.0):
-            raise ValueError(f"eta_hat must be a positive real, got {self.eta_hat!r}")
+        object.__setattr__(self, "eta_hat", _positive(self.eta_hat, "eta_hat"))
         if np.max(v) > Y_OVERFLOW:
             raise ValueError(
                 "rescaled values exceed 700; e^Y overflows "
@@ -96,7 +91,6 @@ class StatisticInput:
             )
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "sorted_values", np.sort(v))
-        object.__setattr__(self, "eta_hat", eta)
         object.__setattr__(self, "n", v.size)
 
     @classmethod
@@ -110,9 +104,7 @@ def v_process(input, s):
 
     (1/n) sum_j (eta_hat*e^(Y_j) - 1)*min(Y_j, s) - (1/n) sum_j 1{Y_j <= s}.
     """
-    s = float(s)
-    if s <= 0.0:
-        raise ValueError("v_process is defined for s > 0")
+    s = _positive(s, "s")
     y = input.sorted_values
     g = input.eta_hat * np.exp(y) - 1.0
     return float(

@@ -60,6 +60,9 @@ def test_empirical_quantile_validation():
         empirical_quantile([1.0], 0.0)
     with pytest.raises(ValueError):
         empirical_quantile([1.0], 1.0)
+    for q in (math.nan, "0.5", True):
+        with pytest.raises(ValueError, match="q must"):
+            empirical_quantile([1.0], q)
 
 
 def test_kind_validation():
@@ -75,6 +78,13 @@ def test_kind_validation():
         TestKind("nosuch")
     assert TestKind("stein", 2.0) == TestKind("stein", 2.0)
     assert len({TestKind("ks"), TestKind("ks")}) == 1
+    # the positive-real rule: no text, no bool, nothing infinite
+    for a in ("2", True, math.inf):
+        with pytest.raises(ValueError, match="weight parameter a"):
+            TestKind("stein", a)
+        with pytest.raises(ValueError, match="weight parameter a"):
+            WeightParam(a)
+    assert TestKind("stein", np.float64(2.0)) == TestKind("stein", 2)
 
 
 def test_bootstrap_deterministic():
@@ -236,7 +246,7 @@ def test_validation():
     for n in (1, 0, 30.0, 2.5):
         with pytest.raises(ValueError, match="n must"):
             bootstrap_replicates(1.0, n, ks, 50, 1)
-    for B in (0, -1, 2.5, 50.0):
+    for B in (0, -1, 2.5, 50.0, True):
         with pytest.raises(ValueError, match="B must"):
             bootstrap_replicates(1.0, 30, ks, B, 1)
     for kinds in ([], ks + ks, ["ks"]):
@@ -244,6 +254,12 @@ def test_validation():
             bootstrap_replicates(1.0, 30, kinds, 50, 1)
     stats, nf = bootstrap_replicates(1.0, np.int64(2), ks, np.int64(1), 1)
     assert stats[TestKind("ks")].shape == (1,) and type(nf) is float
+    # a bool is not a count and text is not a level, at the call itself
+    with pytest.raises(ValueError, match="B must"):
+        bootstrap_many(x, ks, B=True, alpha=0.05, seed=1)
+    for alpha in ("0.05", math.nan):
+        with pytest.raises(ValueError, match="alpha must"):
+            bootstrap_many(x, ks, B=50, alpha=alpha, seed=1)
 
 
 def test_fallback_sample_still_tested():

@@ -23,7 +23,8 @@ from gomptest.distributions import (
 
 def test_params_validation():
     GompertzParams(0.5, 2.0)
-    for eta, b in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0)]:
+    for eta, b in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0),
+                   ("1", 1.0), (1.0, "1"), (True, 1.0), (1.0, math.inf)]:
         with pytest.raises(ValueError):
             GompertzParams(eta, b)
 
@@ -102,6 +103,12 @@ def test_spec_validation():
         AlternativeSpec("mixture", p=1.5)
     AlternativeSpec("mixture", p=0.0)
     AlternativeSpec("mixture", p=1.0)
+    for bad in ("3", True, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma.k must"):
+            AlternativeSpec("gamma", k=bad)
+    for bad in (math.nan, -0.5, math.inf):
+        with pytest.raises(ValueError, match=r"mixture.p must lie in \[0, 1\]"):
+            AlternativeSpec("mixture", p=bad)
 
 
 def test_spec_aliases_and_label():
@@ -218,7 +225,7 @@ def test_sample_size_validation():
 
 def test_sample_size_must_be_an_integer():
     # the count rule of the bootstrap's request check; a NumPy integer counts
-    for n in (2.5, 3.0, "3", None):
+    for n in (2.5, 3.0, "3", None, True):
         with pytest.raises(ValueError, match="integer"):
             gompertz_sample(GompertzParams(1, 1), n, seed=1)
         with pytest.raises(ValueError, match="integer"):

@@ -137,6 +137,9 @@ def test_score_h_rejects_a_non_finite_scale():
     for b in (math.nan, math.inf):
         with pytest.raises(ValueError):
             score_h(b, [1.0, 2.0, 3.0])
+    for b in ("1", True):
+        with pytest.raises(ValueError, match="b must"):
+            score_h(b, [1.0, 2.0, 3.0])
 
 
 def test_score_h_overflow_raises_without_warnings():

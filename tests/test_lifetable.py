@@ -109,6 +109,16 @@ def test_truncation_validation():
     lopsided = Pmf(ages=np.arange(4), masses=np.array([0.5, 0.0, 0.0, 0.5]))
     with pytest.raises(ValueError):
         truncate_pmf(lopsided, 0, 3)  # interior exists but has no mass
+    # the cut ages are integers, never truncated
+    for L, R, match in ((2.9, 7, "L must"), ("1", 7, "L must"), (True, 7, "L must"),
+                        (1, 7.5, "R must"), (1, math.inf, "R must")):
+        with pytest.raises(ValueError, match=match):
+            truncate_pmf(u, L, R)
+    assert np.array_equal(truncate_pmf(u, np.int64(-5), np.int64(8)).masses,
+                          truncate_pmf(u, -1, 8).masses)
+    for raw_total in (0.0, math.nan, "1", True):
+        with pytest.raises(ValueError, match="raw_total must"):
+            Pmf(ages=np.arange(10), masses=np.full(10, 0.1), raw_total=raw_total)
 
 
 def test_sampling_deterministic_and_in_support():
@@ -151,7 +161,7 @@ def test_sampling_validation():
 
 def test_sample_size_must_be_an_integer():
     u = Pmf(ages=np.arange(1, 4), masses=np.array([0.5, 0.25, 0.25]))
-    for n in (2.5, 3.0, "3", None):
+    for n in (2.5, 3.0, "3", None, True):
         with pytest.raises(ValueError, match="integer"):
             sample_lifetimes(u, n, seed=1)
     assert np.array_equal(sample_lifetimes(u, np.int64(5), seed=1), sample_lifetimes(u, 5, seed=1))

@@ -84,6 +84,27 @@ def _module_level_definitions(tree):
                     yield node, target.id
 
 
+def test_number_types_are_checked_only_by_the_input_rules():
+    # The count, positive-real and level rules of distributions.py and the
+    # seed rule rng._word are the only places that test for numbers.
+    found = []
+    for path in sorted(SOURCES.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                    found.append((path.name, f"line {node.lineno}", "from numbers import"))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "numbers"):
+                    where = top.name if isinstance(top, ast.FunctionDef) else f"line {node.lineno}"
+                    found.append((path.name, where, node.attr))
+    assert sorted(found) == [
+        ("distributions.py", "_count", "Integral"),
+        ("distributions.py", "_level", "Real"),
+        ("distributions.py", "_positive", "Real"),
+        ("rng.py", "_word", "Integral"),
+    ]
+
+
 def test_every_private_name_is_used_by_the_sources():
     # A module-level _name that no source file reads, outside its own
     # definition, is production code that only tests (or nothing) use.

@@ -57,6 +57,6 @@ def test_numpy_integer_seeds_key_the_python_int_stream():
     assert bootstrap_test(x, kind, B=20, alpha=0.05, seed=np.int64(7)) == bootstrap_test(
         x, kind, B=20, alpha=0.05, seed=7
     )
-    for bad in (7.0, np.float64(7.0), "7"):
+    for bad in (7.0, np.float64(7.0), "7", True, False):
         with pytest.raises(ValueError, match="integers"):
             derive_key(bad)

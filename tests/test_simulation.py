@@ -62,6 +62,18 @@ def test_config_validation():
         SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(20,), alpha=1.0)
     with pytest.raises(ValueError):
         SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(20,), replications=0)
+    # each setting goes to the rule that owns it, at construction: a seed the
+    # run would refuse, and every a of the grid, stein requested or not
+    base = dict(scenarios=(GompertzParams(1, 1),), sizes=(20,))
+    for bad, match in (
+        (dict(seed=-1), "seeds"), (dict(seed=2**64), "seeds"),
+        (dict(a_grid=(math.inf,), tests=("ks",)), "weight parameter a"),
+        (dict(alpha="1.5"), "alpha must"), (dict(alpha=math.nan), "alpha must"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            SimulationConfig(**{**base, **bad})
+    text = SimulationConfig(**base, a_grid=("0.5", 2), alpha="0.1")
+    assert (text.a_grid, text.alpha) == ((0.5, 2.0), 0.1)
 
 
 def test_config_rejects_non_integral_counts_instead_of_truncating():
@@ -81,6 +93,11 @@ def test_config_rejects_non_integral_counts_instead_of_truncating():
     )
     assert (cfg.sizes, cfg.replications, cfg.bootstrap, cfg.seed) == ((50, 30), 7, 40, 3)
     assert all(type(v) is int for v in (*cfg.sizes, cfg.replications, cfg.bootstrap, cfg.seed))
+    # a bool is not a count or a seed
+    for name, value in (("sizes", (True,)), ("replications", True), ("bootstrap", True),
+                        ("seed", True)):
+        with pytest.raises(ValueError, match=name):
+            SimulationConfig(**{**base, name: value})
 
 
 def test_run_study_rejects_fewer_than_one_worker():
@@ -98,7 +115,7 @@ def test_run_study_rejects_a_non_integer_worker_count_before_starting_a_pool(mon
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
     cfg = SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(15,), tests=("ks",), **SMALL)
-    for workers in (2.5, 2.0, "2", None):
+    for workers in (2.5, 2.0, "2", None, True):
         with pytest.raises(ValueError, match="workers must be an integer"):
             run_study(cfg, workers=workers, progress=False)
 

@@ -267,6 +267,10 @@ def test_v_process_hand_values():
         v_process(inp, 0.0)
     with pytest.raises(ValueError):
         v_process(inp, -1.0)
+    for s in (math.nan, math.inf, "1.5", True):
+        with pytest.raises(ValueError, match="s must"):
+            v_process(inp, s)
+    assert v_process(inp, 2) == v_process(inp, 2.0)
 
 
 def test_input_validation():
@@ -280,6 +284,9 @@ def test_input_validation():
         StatisticInput([1.0, -2.0], 1.0)
     with pytest.raises(ValueError):
         StatisticInput([1.0, 800.0], 1.0)  # overflow guard on e^y
+    for eta_hat in ("1", True, math.inf):
+        with pytest.raises(ValueError, match="eta_hat must"):
+            StatisticInput([1.0, 2.0], eta_hat)
 
 
 def test_statistic_input_from_rescaled():
