@@ -24,7 +24,6 @@ from .lifetable import (
 )
 from .simulation import (
     DEFAULT_A_GRID,
-    _split_list,
     config_from_file,
     parse_family,
     report_to_csv,
@@ -32,6 +31,11 @@ from .simulation import (
 )
 
 __all__ = ["main"]
+
+
+def _split_list(text):
+    """The stripped, nonempty items of a comma-separated list."""
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 @contextmanager
@@ -152,7 +156,7 @@ def _build_parser():
     p_gof.set_defaults(func=cmd_gof)
 
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo study from a config file")
-    p_sim.add_argument("--config", required=True, help="flat key=value study config")
+    p_sim.add_argument("--config", required=True, help="TOML study config")
     p_sim.add_argument("--output", default=None, help="write report CSV here (default stdout)")
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.set_defaults(func=cmd_simulate)

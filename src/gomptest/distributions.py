@@ -9,6 +9,7 @@ share those uniforms, which keeps couplings like Pow(1) == U(0,1) exact.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,16 +64,19 @@ def _count(v, name, least):
 
 def _positive(v, name):
     """v as a float, once it is a finite real number (not a bool) above 0."""
-    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+    # compared, not converted, so that an int too large for a float is refused too
+    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and 0 < v <= sys.float_info.max):
         raise ValueError(f"{name} must be a positive finite real, got {v!r}")
     return float(v)
 
 
-def _level(v, name):
-    """v as a float, once it is a real number strictly inside (0, 1)."""
-    # True and False are 1 and 0, which lie outside
-    if not (isinstance(v, numbers.Real) and 0 < v < 1):
-        raise ValueError(f"{name} must be a real strictly inside (0, 1), got {v!r}")
+def _level(v, name, closed=False):
+    """v as a float, once it is a real number (not a bool) strictly inside (0, 1),
+    or inside [0, 1] when `closed`."""
+    real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+    if not (real and (0 <= v <= 1 if closed else 0 < v < 1)):
+        where = "lie in [0, 1]" if closed else "be a real strictly inside (0, 1)"
+        raise ValueError(f"{name} must {where}, got {v!r}")
     return float(v)
 
 
@@ -290,14 +294,11 @@ class AlternativeSpec:
             raise ValueError(
                 f"family {name!r} takes parameters {required}, got {tuple(params)}"
             )
-        clean = {}
-        for key in required:
-            if key not in fam.unit:
-                clean[key] = _positive(params[key], f"{name}.{key}")
-            elif 0.0 <= float(params[key]) <= 1.0:  # NaN fails too
-                clean[key] = float(params[key])
-            else:
-                raise ValueError(f"{name}.{key} must lie in [0, 1], got {params[key]!r}")
+        clean = {
+            key: _level(params[key], f"{name}.{key}", closed=True) if key in fam.unit
+            else _positive(params[key], f"{name}.{key}")
+            for key in required
+        }
         object.__setattr__(self, "family", name)
         object.__setattr__(self, "params", clean)
 

@@ -169,7 +169,7 @@ def _read_rows(path, columns=1):
     file without numeric rows. Columns past `columns` are ignored.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):
             if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
                 continue

@@ -13,6 +13,7 @@ import io
 import math
 import sys
 import time
+import tomllib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields
@@ -82,24 +83,6 @@ def parse_family(text):
     return spec
 
 
-def _whole(v, what):
-    # Config-file text such as "50" and whole floats such as 30.0 become ints, never
-    # truncated; other values, bool among them, go on to the rule that owns the setting.
-    if not isinstance(v, (str, float)):
-        return v
-    try:
-        if isinstance(v, str) or v.is_integer():
-            return int(v)
-    except ValueError:
-        pass
-    raise ValueError(f"{what}: expected a whole number, got {v!r}")
-
-
-def _real(v):
-    # Config-file text such as "0.05" becomes a float; numbers go on as they are.
-    return float(v) if isinstance(v, str) else v
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Study layout: scenarios x sizes, test battery, budgets, master seed."""
@@ -117,8 +100,8 @@ class SimulationConfig:
         scen = tuple(self.scenarios)
         if not scen or not all(isinstance(s, (GompertzParams, AlternativeSpec)) for s in scen):
             raise ValueError(f"scenarios must be distribution specs, at least one, got {scen!r}")
-        sizes = tuple(_count(_whole(n, "sizes"), "sizes", 2) for n in self.sizes)
-        grid = tuple(WeightParam(_real(a)).a for a in self.a_grid)
+        sizes = tuple(_count(n, "sizes", 2) for n in self.sizes)
+        grid = tuple(WeightParam(a).a for a in self.a_grid)
         if not sizes or not grid:
             raise ValueError("sizes and a_grid must each hold at least one value")
         tests = tuple(dict.fromkeys(k.name for k in _expand_tests(self.tests, grid)))
@@ -126,10 +109,10 @@ class SimulationConfig:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "a_grid", grid)
         object.__setattr__(self, "tests", tests)
-        object.__setattr__(self, "alpha", _level(_real(self.alpha), "alpha"))
+        object.__setattr__(self, "alpha", _level(self.alpha, "alpha"))
         for name in ("replications", "bootstrap"):
-            object.__setattr__(self, name, _count(_whole(getattr(self, name), name), name, 1))
-        object.__setattr__(self, "seed", _word(_whole(self.seed, "seed")))
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
+        object.__setattr__(self, "seed", _word(self.seed))
 
     def kinds(self):
         """Expand the test names into concrete kinds ('stein' per a in grid)."""
@@ -285,41 +268,27 @@ def report_to_csv(report):
     return buf.getvalue()
 
 
-def _split_list(text, sep=","):
-    """The stripped, nonempty items of a `sep`-separated list."""
-    return tuple(p.strip() for p in text.split(sep) if p.strip())
-
-
 def config_from_file(path):
-    """Parse a flat key=value study config into a SimulationConfig.
+    """Read a TOML study config into a SimulationConfig.
 
-    The keys are SimulationConfig's field names, in any case: scenarios
-    (';'-separated 'family key=value ...' specs), sizes, a_grid and tests
-    (comma-separated), alpha, replications, bootstrap and seed. Each may be
-    given once, and an unknown key raises ValueError. Unset fields take
-    SimulationConfig's defaults, which also converts and checks every
-    value. '#' starts a comment.
+    The top-level keys are SimulationConfig's field names: scenarios (an array
+    of 'family key=value ...' specs), sizes, a_grid and tests (arrays), alpha,
+    replications, bootstrap and seed; scenarios and sizes are required. A file
+    that is not TOML, an unknown or missing key, or a list setting that is not
+    an array raises ValueError. Unset fields take SimulationConfig's defaults,
+    and SimulationConfig checks every value.
     """
+    with open(path, "rb") as fh:
+        try:
+            settings = tomllib.load(fh)
+        except tomllib.TOMLDecodeError as exc:
+            raise ValueError(f"{path} must be a TOML study config: {exc}") from None
     by_name = {f.name: f for f in fields(SimulationConfig)}
-    settings = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            key = key.strip().lower()
-            if not sep or key not in by_name:
-                raise ValueError(
-                    f"bad config line {raw.rstrip()!r}; expected key = value with a key "
-                    f"from {', '.join(by_name)}"
-                )
-            if key in settings:
-                raise ValueError(f"config sets {key} twice: {raw.rstrip()!r}")
-            val = val.strip()
-            if by_name[key].type is tuple:  # the tuple-typed fields are lists
-                val = _split_list(val, ";" if key == "scenarios" else ",")
-            settings[key] = val
+    for key, value in settings.items():
+        if key not in by_name:
+            raise ValueError(f"unknown config key {key!r}; the keys are {', '.join(by_name)}")
+        if by_name[key].type is tuple and not isinstance(value, list):
+            raise ValueError(f"config key {key} must be an array, got {value!r}")
     missing = [k for k, f in by_name.items() if f.default is MISSING and k not in settings]
     if missing:
         raise ValueError(f"config must set {' and '.join(missing)}")

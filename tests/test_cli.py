@@ -205,10 +205,10 @@ def test_lifetable_errors(tmp_path, capsys):
 
 
 def test_simulate_small_config(tmp_path, capsys):
-    cfg = tmp_path / "study.cfg"
+    cfg = tmp_path / "study.toml"
     cfg.write_text(
-        "scenarios = gompertz eta=1 b=1\nsizes = 15\na_grid = 1\ntests = stein\n"
-        "replications = 8\nbootstrap = 40\nseed = 4\n"
+        'scenarios = ["gompertz eta=1 b=1"]\nsizes = [15]\na_grid = [1]\ntests = ["stein"]\n'
+        "replications = 8\nbootstrap = 40  # a trailing comment\nseed = 4\n"
     )
     out = tmp_path / "rep.csv"
     assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
@@ -221,40 +221,52 @@ def test_simulate_small_config(tmp_path, capsys):
 
 
 def test_simulate_errors(tmp_path, capsys):
-    assert main(["simulate", "--config", str(tmp_path / "none.cfg")]) == 2
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("scenarios = gompertz eta=1 b=1\nbogus = 1\n")
-    assert main(["simulate", "--config", str(bad)]) == 2
-    good = tmp_path / "good.cfg"
-    good.write_text(
-        "scenarios = gompertz eta=1 b=1\nsizes = 15\ntests = ks\nreplications = 2\n"
-        "bootstrap = 10\n"
-    )
-    assert main(["simulate", "--config", str(good), "--workers", "-3"]) == 2
-    assert main(["simulate", "--config", str(good), "--workers", "0"]) == 2
-    capsys.readouterr()
+    def error(*args):
+        assert main(["simulate", *args]) == 2
+        return capsys.readouterr().err
+
+    assert "No such file" in error("--config", str(tmp_path / "none.toml"))
+    cfg = tmp_path / "study.toml"
+    good = 'scenarios = ["gompertz eta=1 b=1"]\nsizes = [15]\n'
+    for text, match in (
+        ('scenarios = ["gompertz eta=1 b=1"]\n', "config must set sizes"),
+        (good + "bogus = 1\n", "unknown config key 'bogus'"),
+        (good + 'tests = ["nope"]\n', "unknown test kind 'nope'"),
+        # the old flat format
+        ("scenarios = gompertz eta=1 b=1; gamma k=1\nsizes = 15, 20\n",
+         f"error: {cfg} must be a TOML study config"),
+    ):
+        cfg.write_text(text)
+        assert match in error("--config", str(cfg))
+    cfg.write_text(good + 'tests = ["ks"]\nreplications = 2\nbootstrap = 10\n')
+    for workers in ("-3", "0"):
+        assert "workers must be an integer of at least 1" in error(
+            "--config", str(cfg), "--workers", workers)
 
 
 def test_simulate_rejects_a_setting_given_twice(tmp_path, capsys):
-    cfg = tmp_path / "twice.cfg"
+    # TOML refuses a repeated key; the message names the file
+    cfg = tmp_path / "twice.toml"
     cfg.write_text(
-        "scenarios = gompertz eta=1 b=1\nsizes = 15\nsizes = 20\ntests = ks\n"
+        'scenarios = ["gompertz eta=1 b=1"]\nsizes = [15]\nsizes = [20]\ntests = ["ks"]\n'
         "replications = 2\nbootstrap = 10\n"
     )
     assert main(["simulate", "--config", str(cfg)]) == 2
-    assert "twice" in capsys.readouterr().err
+    assert f"{cfg} must be a TOML study config" in capsys.readouterr().err
 
 
 def test_removed_spellings_are_refused(tmp_path, capsys):
     # a config key is a SimulationConfig field name, and sample takes its size
     # and seed only as --n and --seed
     keys = ", ".join(f.name for f in dataclasses.fields(SimulationConfig))
-    cfg = tmp_path / "study.cfg"
-    for line in ("n = 15", "m = 2", "b = 10", "a = 1", "full_scale = on"):
-        cfg.write_text(f"scenarios = gompertz eta=1 b=1\nsizes = 15\ntests = ks\n{line}\n")
+    cfg = tmp_path / "study.toml"
+    head = 'scenarios = ["gompertz eta=1 b=1"]\nsizes = [15]\ntests = ["ks"]\n'
+    for line in ("n = 15", "m = 2", "b = 10", "a = 1", "full_scale = true"):
+        cfg.write_text(f"{head}{line}\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert f"bad config line {line!r}" in err and keys in err, err
+        key = line.split()[0]
+        assert f"unknown config key {key!r}" in err and keys in err, err
     assert main(["sample", "gamma", "k=3", "n=5", "seed=3"]) == 2
     assert "required: --n" in capsys.readouterr().err
     for token in ("n=5", "seed=3"):

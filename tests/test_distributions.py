@@ -24,7 +24,8 @@ from gomptest.distributions import (
 def test_params_validation():
     GompertzParams(0.5, 2.0)
     for eta, b in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0),
-                   ("1", 1.0), (1.0, "1"), (True, 1.0), (1.0, math.inf)]:
+                   ("1", 1.0), (1.0, "1"), (True, 1.0), (1.0, math.inf), (10**400, 1.0),
+                   (1.0, -(10**400))]:
         with pytest.raises(ValueError):
             GompertzParams(eta, b)
 
@@ -106,7 +107,7 @@ def test_spec_validation():
     for bad in ("3", True, math.inf, math.nan):
         with pytest.raises(ValueError, match="gamma.k must"):
             AlternativeSpec("gamma", k=bad)
-    for bad in (math.nan, -0.5, math.inf):
+    for bad in (math.nan, -0.5, math.inf, "0.5", True, False):
         with pytest.raises(ValueError, match=r"mixture.p must lie in \[0, 1\]"):
             AlternativeSpec("mixture", p=bad)
 

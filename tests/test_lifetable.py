@@ -6,6 +6,7 @@ import pytest
 from gomptest.lifetable import (
     LifeTable,
     Pmf,
+    _read_rows,
     hazard_to_pmf,
     pmf_to_hazard,
     read_lifetable,
@@ -181,6 +182,15 @@ def test_csv_round_trips(tmp_path):
     back = read_pmf(out)
     assert np.array_equal(back.ages, pmf.ages)
     assert np.allclose(back.masses, pmf.masses, rtol=0, atol=1e-12)
+
+    # a UTF-8 byte-order mark is not part of the first value, so a file without
+    # a header keeps its first row
+    bom = tmp_path / "bom.csv"
+    bom.write_text("\ufeff1.5\n2.5\n3.5\n", encoding="utf-8")
+    assert np.array_equal(_read_rows(bom), [1.5, 2.5, 3.5])
+    bom.write_text("\ufeff0,0.1\n1,1\n", encoding="utf-8")
+    table = read_lifetable(bom)
+    assert np.array_equal(table.ages, [0, 1]) and np.array_equal(table.hazards, [0.1, 1.0])
 
 
 def test_csv_error_cases(tmp_path):

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,8 +74,11 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match=match):
             SimulationConfig(**{**base, **bad})
-    text = SimulationConfig(**base, a_grid=("0.5", 2), alpha="0.1")
-    assert (text.a_grid, text.alpha) == ((0.5, 2.0), 0.1)
+    # text is converted where it arrives (the TOML reader, parse_family, the CLI), not here
+    for bad, match in ((dict(a_grid=("0.5", 2)), "weight parameter a"),
+                       (dict(alpha="0.1"), "alpha must")):
+        with pytest.raises(ValueError, match=match):
+            SimulationConfig(**{**base, **bad})
 
 
 def test_config_rejects_non_integral_counts_instead_of_truncating():
@@ -82,14 +87,17 @@ def test_config_rejects_non_integral_counts_instead_of_truncating():
         dict(sizes=(30.5,)), dict(replications=2.7), dict(bootstrap=19.9), dict(seed=1.9),
         dict(sizes=(math.inf,)), dict(replications=math.inf), dict(bootstrap=math.inf),
         dict(seed=math.inf), dict(replications=math.nan), dict(seed="-inf"),
+        # text and whole floats are not counts either, as at every other count
+        dict(sizes=("50",)), dict(sizes=(30.0,)), dict(replications=7.0), dict(bootstrap="40"),
+        dict(seed="3"), dict(seed=3.0),
     )
     for bad in bad_values:
-        with pytest.raises(ValueError, match="whole number"):
+        with pytest.raises(ValueError, match="must be (an integer|integers)"):
             SimulationConfig(**{**base, **bad})
-    # config-file text and integral numbers of any type still convert
+    # integers of any type convert
     cfg = SimulationConfig(
-        scenarios=base["scenarios"], sizes=("50", 30.0), replications=np.int64(7),
-        bootstrap="40", seed=np.uint64(3),
+        scenarios=base["scenarios"], sizes=(np.int32(50), 30), replications=np.int64(7),
+        bootstrap=40, seed=np.uint64(3),
     )
     assert (cfg.sizes, cfg.replications, cfg.bootstrap, cfg.seed) == ((50, 30), 7, 40, 3)
     assert all(type(v) is int for v in (*cfg.sizes, cfg.replications, cfg.bootstrap, cfg.seed))
@@ -251,64 +259,88 @@ def test_report_csv_empty_report():
 
 
 def test_config_from_file(tmp_path):
-    p = tmp_path / "study.cfg"
+    p = tmp_path / "study.toml"
     p.write_text(
         "# comment\n"
-        "scenarios = gompertz eta=1 b=1; gamma k=3\n"
-        "sizes = 20, 50\n"
-        "a_grid = 1, 2\n"
-        "tests = stein, ad\n"
-        "alpha = 0.1\n"
+        'scenarios = ["gompertz eta=1 b=1", "gamma k=3"]\n'
+        "sizes = [20, 50]\n"
+        "a_grid = [1, 2]\n"
+        'tests = ["stein", "ad"]\n'
+        "alpha = 0.1  # a trailing comment\n"
         "replications = 25\n"
         "bootstrap = 40\n"
-        "seed = 7\n"
+        "seed = 18446744073709551615\n"
     )
     cfg = config_from_file(p)
     assert cfg.scenarios == (GompertzParams(1, 1), AlternativeSpec("gamma", k=3))
     assert cfg.sizes == (20, 50) and cfg.a_grid == (1.0, 2.0)
     assert cfg.tests == ("stein", "ad") and cfg.alpha == 0.1
-    assert cfg.replications == 25 and cfg.bootstrap == 40 and cfg.seed == 7
+    assert cfg.replications == 25 and cfg.bootstrap == 40 and cfg.seed == 2**64 - 1
 
 
 def test_config_keys_are_the_fields_of_simulation_config(tmp_path):
-    # each key's text in a config file and the value that sets the same field
-    # through the constructor
+    # each key's TOML value in a config file and the value that sets the same
+    # field through the constructor
     settings = {
-        "scenarios": ("gamma k=3; ln sigma=0.5",
+        "scenarios": ('["gamma k=3", "ln sigma=0.5"]',
                       (AlternativeSpec("gamma", k=3), AlternativeSpec("lognormal", sigma=0.5))),
-        "sizes": ("20, 50", (20, 50)),
-        "a_grid": ("1, 2.5", (1.0, 2.5)),
-        "tests": ("stein, AD", ("stein", "ad")),
+        "sizes": ("[20, 50]", (20, 50)),
+        "a_grid": ("[1, 2.5]", (1.0, 2.5)),
+        "tests": ('["stein", "AD"]', ("stein", "ad")),
         "alpha": ("0.1", 0.1),
         "replications": ("25", 25),
         "bootstrap": ("40", 40),
         "seed": ("7", 7),
     }
     assert list(settings) == [f.name for f in dataclasses.fields(SimulationConfig)]
-    p = tmp_path / "study.cfg"
+    p = tmp_path / "study.toml"
     for key, (text, value) in settings.items():
-        lines = {"scenarios": "gompertz eta=1 b=1", "sizes": "30", key: text}
+        lines = {"scenarios": '["gompertz eta=1 b=1"]', "sizes": "[30]", key: text}
         p.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
         expected = dict(scenarios=(GompertzParams(1, 1),), sizes=(30,))
         assert config_from_file(p) == SimulationConfig(**{**expected, key: value}), key
-    # keys match in any case
-    p.write_text("".join(f"{k.upper()} = {text}\n" for k, (text, _) in settings.items()))
+    p.write_text("".join(f"{k} = {text}\n" for k, (text, _) in settings.items()))
     assert config_from_file(p) == SimulationConfig(**{k: v for k, (_, v) in settings.items()})
 
 
+def test_readme_config_example_reads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```toml\n(.*?)```", readme, re.S)
+    p = tmp_path / "study.toml"
+    p.write_text(block)
+    cfg = config_from_file(p)
+    assert cfg.scenarios == (GompertzParams(0.5, 1), AlternativeSpec("gamma", k=1),
+                             AlternativeSpec("lognormal", sigma=0.5))
+    assert cfg.sizes == (50, 100) and cfg.a_grid == (0.5, 1.0, 2.0)
+    assert cfg.tests == ("stein", "ks", "ad", "cm", "wa")
+    assert (cfg.alpha, cfg.replications, cfg.bootstrap, cfg.seed) == (0.05, 1000, 500, 1)
+
+
 def test_config_file_errors(tmp_path):
-    p = tmp_path / "bad.cfg"
-    p.write_text("sizes = 20\n")
-    with pytest.raises(ValueError):
-        config_from_file(p)  # scenarios missing
-    p.write_text("scenarios = gompertz eta=1 b=1\n")
-    with pytest.raises(ValueError):
-        config_from_file(p)  # sizes missing
-    p.write_text("scenarios = gompertz eta=1 b=1\nsizes = 20\nbogus = 3\n")
-    with pytest.raises(ValueError):
-        config_from_file(p)
-    p.write_text("scenarios = gompertz eta=1 b=1\nsizes = 20\ntests = nope\n")
-    with pytest.raises(ValueError):
+    p = tmp_path / "bad.toml"
+    good = 'scenarios = ["gompertz eta=1 b=1"]\nsizes = [20]\n'
+    for text, match in (
+        ("sizes = [20]\n", "config must set scenarios$"),
+        ('scenarios = ["gompertz eta=1 b=1"]\n', "config must set sizes$"),
+        ("", "config must set scenarios and sizes"),
+        (good + "bogus = 3\n", "unknown config key 'bogus'; the keys are scenarios, sizes, "),
+        (good + "Seed = 3\n", "unknown config key 'Seed'"),
+        (good + 'tests = ["nope"]\n', "unknown test kind 'nope'"),
+        (good + 'tests = "ks"\n', "config key tests must be an array, got 'ks'"),
+        ('scenarios = "gamma k=3"\nsizes = [20]\n', "config key scenarios must be an array"),
+        (good + "a_grid = 1\n", "config key a_grid must be an array, got 1"),
+        (good + "replications = 30.0\n", "replications must be an integer"),
+        (good + "bootstrap = inf\n", "bootstrap must be an integer"),
+        (good + "seed = -1\n", "seeds"),
+        (good + 'alpha = "0.1"\n', "alpha must"),
+        ('scenarios = ["gamma k=x"]\nsizes = [20]\n', "non-numeric value"),
+    ):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            config_from_file(p)
+    # the old flat format is not TOML, and the message names the file
+    p.write_text("scenarios = gompertz eta=1 b=1\nsizes = 20\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(p))} must be a TOML study config"):
         config_from_file(p)
 
 
@@ -320,16 +352,17 @@ def test_parse_family_rejects_a_repeated_key():
 
 
 def test_config_rejects_a_setting_given_twice(tmp_path):
-    p = tmp_path / "twice.cfg"
-    head = "scenarios = gompertz eta=1 b=1\n"
-    for lines in ("sizes = 20\nsizes = 50\n",
-                  "sizes = 20\nreplications = 100\nreplications = 50\n",
-                  "sizes = 20\nseed = 1\nseed = 2\n",
-                  "sizes = 20\nbootstrap = 40\nbootstrap = 40\n",
-                  "sizes = 20\nscenarios = gamma k=3\n",
-                  "sizes = 20\na_grid = 1\na_grid = 2\n"):
+    # TOML itself refuses a repeated key
+    p = tmp_path / "twice.toml"
+    head = 'scenarios = ["gompertz eta=1 b=1"]\n'
+    for lines in ("sizes = [20]\nsizes = [50]\n",
+                  "sizes = [20]\nreplications = 100\nreplications = 50\n",
+                  "sizes = [20]\nseed = 1\nseed = 2\n",
+                  "sizes = [20]\nbootstrap = 40\nbootstrap = 40\n",
+                  'sizes = [20]\nscenarios = ["gamma k=3"]\n',
+                  "sizes = [20]\na_grid = [1]\na_grid = [2]\n"):
         p.write_text(head + lines)
-        with pytest.raises(ValueError, match="twice"):
+        with pytest.raises(ValueError, match="must be a TOML study config"):
             config_from_file(p)
 
 
