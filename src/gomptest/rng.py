@@ -9,6 +9,10 @@ import numbers
 
 import numpy as np
 
+# Loaded with the package, so forked study workers inherit numpy.random
+# instead of importing it on their first replicate.
+from numpy.random import Generator, Philox
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -48,4 +52,4 @@ def substream(seed, *path):
     """
     k = derive_key(seed, *path)
     key = np.array([k, mix64(k)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))

@@ -97,6 +97,10 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is tuple and not isinstance(value, (tuple, list)):
+                raise ValueError(f"{f.name} must be a tuple or list, got {value!r}")
         scen = tuple(self.scenarios)
         if not scen or not all(isinstance(s, (GompertzParams, AlternativeSpec)) for s in scen):
             raise ValueError(f"scenarios must be distribution specs, at least one, got {scen!r}")

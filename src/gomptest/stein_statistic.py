@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import _FAMILIES, _as_spec, _positive, alt_pdf, as_sample
 
@@ -358,6 +357,8 @@ def stein_transform(density, p, s):
             f"E[X e^(bX)] diverges: b={b:g} is not below the tail rate {rate:g}"
         )
     upper = fam.upper(**spec.params)
+    # Only this function needs scipy, so `import gomptest` does not load it.
+    from scipy import integrate
 
     def weighted(x):
         # e^(bx) alone can overflow where the density has already underflowed

@@ -90,6 +90,18 @@ def test_pilot_scale_matches_ingredients():
     assert pilot_scale(x) == expected
 
 
+def test_pilot_quantile_is_numpys_bitwise():
+    # the pilot's 90th percentile of sorted rows is np.quantile's, bit for bit,
+    # at every size and whichever side of 0.5 the interpolation weight falls
+    rng = np.random.default_rng(11)
+    for n in range(2, 3001):
+        xs = np.sort(rng.gamma(0.8, size=(2, n)), axis=1)
+        for scale in (1e-5, 1.0, 1e5):
+            rows = xs * scale
+            z, _, _ = estimation._pilot_ingredients(rows)
+            assert np.array_equal(z, np.quantile(rows, 0.9, axis=1)), (n, scale)
+
+
 def test_pilot_scale_needs_five_points():
     with pytest.raises(ValueError):
         pilot_scale([1.0, 2.0, 3.0, 4.0])

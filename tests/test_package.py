@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gomptest
@@ -51,6 +55,43 @@ def test_package_exports_exactly_the_public_names():
         mod = importlib.import_module(f"gomptest.{module}")
         for name in names:
             assert getattr(gomptest, name) is getattr(mod, name), (module, name)
+
+
+# Run in a fresh interpreter: what `import gomptest` loads, and what one
+# default-battery bootstrap and one study replicate load after it.
+_IMPORT_PROBE = """
+import json, sys
+import gomptest
+from gomptest import (AlternativeSpec, DEFAULT_A_GRID, GompertzParams, alt_sample,
+                      bootstrap_many, gompertz_cdf, simulation, stein_transform)
+from gomptest.bootstrap import DEFAULT_TESTS, _expand_tests
+at_import = sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules)
+loaded = set(sys.modules)
+x = alt_sample(GompertzParams(1, 1), 100, 1)
+bootstrap_many(x, _expand_tests(DEFAULT_TESTS, DEFAULT_A_GRID), B=20, alpha=0.05, seed=0)
+simulation._run_chunk(AlternativeSpec("lognormal", sigma=0.5), 30,
+                      _expand_tests(("stein", "ks"), (1.0,)), 20, 0.05, 5, 0, 1)
+by_replicate = sorted(set(sys.modules) - loaded)
+p = GompertzParams(1, 1)
+print(json.dumps(dict(at_import=at_import, by_replicate=by_replicate,
+                      transform_error=abs(stein_transform(p, p, 1.0) - gompertz_cdf(p, 1.0)),
+                      scipy_after_transform="scipy" in sys.modules)))
+"""
+
+
+def test_import_loads_what_a_study_worker_needs_and_no_scipy():
+    # Study workers are forked from the parent, so a module that a replicate
+    # imports is imported again in every worker of every pool. scipy serves
+    # only stein_transform, which loads it on demand.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SOURCES.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    probe = json.loads(run.stdout)
+    assert probe["at_import"] == []
+    assert probe["by_replicate"] == []
+    assert probe["transform_error"] < 1e-9 and probe["scipy_after_transform"]
 
 
 def _unused_imports(path):

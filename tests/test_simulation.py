@@ -74,6 +74,13 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match=match):
             SimulationConfig(**{**base, **bad})
+    # a list setting is a tuple or list: a string is not split, a scalar not wrapped
+    for bad, match in ((dict(tests="ks"), "tests must be a tuple or list"),
+                       (dict(sizes=20), "sizes must be a tuple or list"),
+                       (dict(a_grid=1.0), "a_grid must be a tuple or list"),
+                       (dict(scenarios=GompertzParams(1, 1)), "scenarios must be a tuple or list")):
+        with pytest.raises(ValueError, match=match):
+            SimulationConfig(**{**base, **bad})
     # text is converted where it arrives (the TOML reader, parse_family, the CLI), not here
     for bad, match in ((dict(a_grid=("0.5", 2)), "weight parameter a"),
                        (dict(alpha="0.1"), "alpha must")):
