@@ -80,6 +80,14 @@ def _level(v, name, closed=False):
     return float(v)
 
 
+def _points(x, name="x"):
+    """Evaluation points as a float array (0-d for a scalar), once none is NaN."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError(f"{name} must not be NaN")
+    return x
+
+
 def gompertz_pdf(p, x):
     """Density of GO(p.eta, p.b); zero for x < 0."""
     return alt_pdf(p, x)
@@ -87,7 +95,7 @@ def gompertz_pdf(p, x):
 
 def gompertz_cdf(p, x):
     """CDF of GO(p.eta, p.b); zero for x < 0."""
-    x = np.asarray(x, dtype=float)
+    x = _points(x)
     out = np.where(x >= 0.0, _gompertz_cdf_unit(p.eta, p.b * x), 0.0)
     return out if out.ndim else float(out)
 
@@ -338,7 +346,7 @@ def alt_sample(spec, n, seed):
 
 def alt_pdf(spec, x):
     """Density of `spec` (AlternativeSpec or GompertzParams); 0 outside support."""
-    x = np.asarray(x, dtype=float)
+    x = _points(x)
     spec = _as_spec(spec)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         val, inside = _FAMILIES[spec.family].density(x, **spec.params)

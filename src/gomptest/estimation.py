@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _positive, as_sample
+from .distributions import _points, _positive, as_sample
 
 __all__ = [
     "FitResult",
@@ -60,7 +60,7 @@ _SCAN_BLOCK = 1 << 16
 
 
 class PilotFailedError(ValueError):
-    """The cumulative-hazard ratio has no usable logarithm."""
+    """The cumulative-hazard ratio gives no positive finite scale."""
 
 
 class ScoreOverflowError(ArithmeticError):
@@ -71,7 +71,7 @@ class ScoreOverflowError(ArithmeticError):
 class FitResult:
     """Estimates and diagnostics of one maximum-likelihood fit.
 
-    b_pilot is NaN when the pilot could not be formed; iterations counts
+    b_pilot is NaN unless the pilot is a positive finite scale; iterations counts
     Newton updates (initial run plus the bracketed run after a grid rescue).
     fallback_used implies b_hat == 0.001 and converged == False.
     """
@@ -95,7 +95,7 @@ class RescaledSample:
 def nelson_aalen(sample, x):
     """Nelson-Aalen cumulative hazard: sum of 1/(n-j+1) over order stats <= x."""
     xs = np.sort(as_sample(sample))
-    k = np.searchsorted(xs, np.asarray(x, dtype=float), side="right")
+    k = np.searchsorted(xs, _points(x), side="right")
     out = _cumhaz_steps(xs.size)[k]
     return out if out.ndim else float(out)
 
@@ -105,22 +105,24 @@ def pilot_from_cumhaz(z, lam_z, lam_half):
 
     Computes (2*log((lam_z - lam_half)/lam_half))/z. With the exact Gompertz
     hazard eta*(e^(b x)-1) plugged in, the ratio is e^(b z / 2) and the
-    result is b. z must be a positive finite number.
+    result is b. Raises PilotFailedError unless z is positive and finite and
+    the result is a positive finite scale.
     """
     if not (math.isfinite(z) and z > 0.0):
         raise PilotFailedError(f"pilot needs a positive finite z, got {z!r}")
-    if lam_half <= 0.0 or lam_z <= lam_half:
+    b = float(_pilot(*np.asarray((z, lam_z, lam_half), dtype=float)))
+    if math.isnan(b):
         raise PilotFailedError(
-            "cumulative-hazard ratio has nonpositive log argument "
-            f"(lam_z={lam_z!r}, lam_half={lam_half!r})"
+            f"cumulative-hazard ratio gives no positive finite scale (lam_z={lam_z!r}, "
+            f"lam_half={lam_half!r})"
         )
-    return float(_pilot(*np.asarray((z, lam_z, lam_half), dtype=float)))
+    return b
 
 
 def pilot_scale(sample):
     """Pilot estimate of b from Nelson-Aalen values at the 90th percentile.
 
-    Raises PilotFailedError when the hazard ratio is degenerate.
+    Raises PilotFailedError when the hazard ratio gives no positive finite scale.
     """
     x = as_sample(sample)
     if x.size < PILOT_MIN_N:
@@ -263,11 +265,11 @@ def _pilot_ingredients(xs):
 
 
 def _pilot(z, lam_z, lam_half):
-    # Elementwise 2*log((lam_z - lam_half)/lam_half)/z; NaN where the log
-    # argument is not positive.
-    ok = (lam_half > 0.0) & (lam_z > lam_half)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(ok, (2.0 * np.log((lam_z - lam_half) / lam_half)) / z, np.nan)
+    # Elementwise 2*log((lam_z - lam_half)/lam_half)/z where that is positive
+    # and finite, the only usable start; NaN elsewhere.
+    with np.errstate(all="ignore"):
+        b = (2.0 * np.log((lam_z - lam_half) / lam_half)) / z
+    return np.where(np.isfinite(b) & (b > 0.0), b, np.nan)
 
 
 def _newton(b0, xs, active, lo, hi):
@@ -371,7 +373,7 @@ def fit_batch(x):
     m, n = x.shape
     xs = np.sort(x, axis=1)
     pilot = _pilot(*_pilot_ingredients(xs)) if n >= PILOT_MIN_N else np.full(m, np.nan)
-    start_ok = np.isfinite(pilot) & (pilot > 0.0)
+    start_ok = np.isfinite(pilot)
     b = np.where(start_ok, pilot, 1.0)
     b_fit, converged, iterations = _newton(
         b, xs, start_ok, np.zeros(m), np.full(m, np.inf)

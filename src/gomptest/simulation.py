@@ -278,9 +278,9 @@ def config_from_file(path):
     The top-level keys are SimulationConfig's field names: scenarios (an array
     of 'family key=value ...' specs), sizes, a_grid and tests (arrays), alpha,
     replications, bootstrap and seed; scenarios and sizes are required. A file
-    that is not TOML, an unknown or missing key, or a list setting that is not
-    an array raises ValueError. Unset fields take SimulationConfig's defaults,
-    and SimulationConfig checks every value.
+    that is not TOML or an unknown or missing key raises ValueError. Unset
+    fields take SimulationConfig's defaults, and SimulationConfig checks every
+    value, so a list setting that is not an array is refused there.
     """
     with open(path, "rb") as fh:
         try:
@@ -288,13 +288,12 @@ def config_from_file(path):
         except tomllib.TOMLDecodeError as exc:
             raise ValueError(f"{path} must be a TOML study config: {exc}") from None
     by_name = {f.name: f for f in fields(SimulationConfig)}
-    for key, value in settings.items():
+    for key in settings:
         if key not in by_name:
             raise ValueError(f"unknown config key {key!r}; the keys are {', '.join(by_name)}")
-        if by_name[key].type is tuple and not isinstance(value, list):
-            raise ValueError(f"config key {key} must be an array, got {value!r}")
     missing = [k for k, f in by_name.items() if f.default is MISSING and k not in settings]
     if missing:
         raise ValueError(f"config must set {' and '.join(missing)}")
-    settings["scenarios"] = tuple(map(parse_family, settings["scenarios"]))
+    if isinstance(settings["scenarios"], list):
+        settings["scenarios"] = tuple(map(parse_family, settings["scenarios"]))
     return SimulationConfig(**settings)

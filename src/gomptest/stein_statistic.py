@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _FAMILIES, _as_spec, _positive, alt_pdf, as_sample
+from .distributions import _FAMILIES, _as_spec, _points, _positive, alt_pdf, as_sample
 
 __all__ = [
     "WeightParam",
@@ -111,23 +111,22 @@ def v_process(input, s):
     )
 
 
-def _pieces(input):
-    """Per-interval affine coefficients of V_n.
+def _pieces(ys, eta):
+    """Per-interval terms of V_n over an (m, n) batch of sorted rows.
 
-    Returns (knots, alpha, beta): on (knots[k], knots[k+1]) the process is
-    alpha[k] + beta[k]*s, with knots[0] = 0 and an implicit +inf end.
+    Returns (lo, width, u, beta, alpha_n), each (m, n) but alpha_n (m,): on
+    the k-th interval (lo, lo + width), with lo[:, 0] = 0, V_n is
+    u + beta*(s - lo), so u is V_n at lo; past the last order statistic it
+    is the constant alpha_n.
     """
-    y = input.sorted_values
-    n = input.n
-    g = input.eta_hat * np.exp(y) - 1.0
-    gy = g * y
-    head = np.concatenate(([0.0], np.cumsum(gy)))
-    tail = np.concatenate((np.cumsum(g[::-1])[::-1], [0.0]))
-    k = np.arange(n + 1)
-    alpha = head / n - k / n
-    beta = tail / n
-    knots = np.concatenate(([0.0], y))
-    return knots, alpha, beta
+    m, n = ys.shape
+    g = eta[:, None] * np.exp(ys) - 1.0
+    zero = np.zeros((m, 1))
+    head_gy = np.concatenate((zero, np.cumsum(g * ys, axis=1)), axis=1)
+    alpha = head_gy / n - np.arange(n + 1) / n
+    beta = np.cumsum(g[:, ::-1], axis=1)[:, ::-1] / n
+    lo = np.concatenate((zero, ys[:, :-1]), axis=1)
+    return lo, ys - lo, alpha[:, :-1] + beta * lo, beta, alpha[:, -1]
 
 
 # Below this value of z = a*width the exponential moments use their series.
@@ -203,21 +202,24 @@ def t_statistic_quadrature(input, w):
     moments E_m of the interval. That quadratic form is positive
     semidefinite with bounded condition number, every piece is nonnegative,
     and the pieces are combined with compensated summation; this is the
-    reference implementation the closed form is validated against. The two
-    share only _exp_moments, which the tests check against mpmath.
+    reference implementation the closed form is validated against. It is
+    the m=1 case of _pieces, which the engine shares; the moments come from
+    _exp_moments, whose series coefficients and ladder the engine also
+    uses. The tests check _exp_moments against mpmath, and the statistic
+    and v_process against V_n built from its definition.
     """
     a = _weight_a(w)
-    knots, alpha, beta = _pieces(input)
-    width = np.diff(knots)
+    ys = input.sorted_values
+    lo, width, u, beta, alpha_n = _pieces(ys[None, :], np.asarray([input.eta_hat]))
+    width = width[0]
     moments = (e.tolist() for e in _exp_moments(a, width, width**2, width**3))
     pieces = []
-    for lo, al, be, e0, e1, e2 in zip(knots.tolist(), alpha.tolist(), beta.tolist(), *moments):
-        u = al + be * lo
-        quad_form = math.fsum([u * u * e0, 2.0 * u * be * e1, be * be * e2])
-        pieces.append(math.exp(-a * lo) * quad_form)
-    # zip ends with the n finite intervals; on (Y_(n), inf) beta = 0, integrand alpha^2.
-    al_inf = float(alpha[-1])
-    pieces.append(math.exp(-a * float(knots[-1])) * al_inf * al_inf / a)
+    for lo_k, u_k, be, e0, e1, e2 in zip(lo[0].tolist(), u[0].tolist(), beta[0].tolist(), *moments):
+        quad_form = math.fsum([u_k * u_k * e0, 2.0 * u_k * be * e1, be * be * e2])
+        pieces.append(math.exp(-a * lo_k) * quad_form)
+    # on (Y_(n), inf) V_n is the constant alpha_n
+    al = float(alpha_n[0])
+    pieces.append(math.exp(-a * float(ys[-1])) * al * al / a)
     return input.n * math.fsum(pieces)
 
 
@@ -232,9 +234,22 @@ def _t_closed_form_rows(ys, eta, a_grid):
 
     Returns a (len(a_grid), m) array: row i holds the statistic at
     a = a_grid[i]. Same per-interval quadratic form as
-    t_statistic_quadrature, vectorised with exclusive prefix sums, one
-    block of about _ROW_BLOCK elements at a time (see _closed_form_block).
-    All reductions are row-local, so a row is bitwise identical under any
+    t_statistic_quadrature, vectorised, one block of about _ROW_BLOCK
+    elements at a time. Per block the a-free terms are computed once:
+    _pieces and, per interval, the coefficients Q_k of the whole quadratic
+    form u^2 E0 + 2 u beta E1 + beta^2 E2 as a power series in
+    t = -a*width, Q_k = u^2 w P0[k] + 2 u beta w^2 P1[k] + beta^2 w^3 P2[k].
+    Each a then costs one Horner pass over every element, after which the
+    elements with a*width >= _MOMENT_SERIES_CUT are overwritten with the
+    ladder's quadratic form. They are found within the candidates taken
+    once for max(a_grid); rounding is monotone, so each a finds the same
+    elements as it would alone.
+
+    Each Q_k is built into one block-sized buffer and every a's Horner sum
+    takes its step with it, so a block holds only arrays of its own shape.
+    A (17, m, n) array of all the Q_k would be too large for the
+    allocator's free lists and would page-fault afresh on every call. All
+    reductions are row-local, so a row is bitwise identical under any
     batching, any block size and any grid.
     """
     m, n = ys.shape
@@ -242,78 +257,44 @@ def _t_closed_form_rows(ys, eta, a_grid):
     step = max(1, _ROW_BLOCK // n)
     for r0 in range(0, m, step):
         rows = slice(r0, r0 + step)
-        out[:, rows] = _closed_form_block(ys[rows], eta[rows], a_grid)
-    return out
-
-
-def _closed_form_block(ys, eta, a_grid):
-    """_t_closed_form_rows on one block of rows.
-
-    The a-free terms are computed once: the prefix sums and, per interval,
-    the coefficients Q_k of the whole quadratic form
-    u^2 E0 + 2 u beta E1 + beta^2 E2 as a power series in t = -a*width,
-    Q_k = u^2 w P0[k] + 2 u beta w^2 P1[k] + beta^2 w^3 P2[k]. Each a then
-    costs one Horner pass over every element, after which the elements with
-    a*width >= _MOMENT_SERIES_CUT are overwritten with the ladder's
-    quadratic form. They are found within the candidates taken once for
-    max(a_grid); rounding is monotone, so each a finds the same elements as
-    it would alone.
-
-    Each Q_k is built into one (m, n) buffer and every a's Horner sum takes
-    its step with it, so the block holds only (m, n) arrays. A (17, m, n)
-    array of all the Q_k would be too large for the allocator's free lists
-    and would page-fault afresh on every call.
-    """
-    m, n = ys.shape
-    g = eta[:, None] * np.exp(ys) - 1.0
-    zero = np.zeros((m, 1))
-    head_gy = np.concatenate((zero, np.cumsum(g * ys, axis=1)), axis=1)
-    tail_g = np.concatenate((np.cumsum(g[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
-    counts = np.arange(n + 1, dtype=float)[None, :]
-    alpha = head_gy / n - counts / n
-    beta = tail_g / n
-    lo = np.concatenate((zero, ys[:, :-1]), axis=1)
-    width = ys - lo
-    be = beta[:, :-1]
-    u = alpha[:, :-1] + be * lo
-    uu = u * u
-    two_ub = 2.0 * u * be
-    bb = be * be
-    width2 = width**2
-    last = ys[:, -1]
-    tail_sq = alpha[:, -1] ** 2
-    cand = np.flatnonzero(max(a_grid) * width >= _MOMENT_SERIES_CUT)
-    w_c, w2_c, uu_c, two_ub_c, bb_c = (
-        v.reshape(-1)[cand] for v in (width, width2, uu, two_ub, bb)
-    )
-    c0, c1, c2 = uu * width, two_ub * width2, bb * width**3
-    del g, head_gy, tail_g, alpha, beta, be, u, uu, two_ub, bb, width2
-    ts = [-a * width for a in a_grid]
-    q = np.empty((m, n))
-    tmp = np.empty((m, n))
-    sums = None
-    # on the elements the ladder overwrites, t**16 may overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in reversed(range(_MOMENT_SERIES_TERMS)):
-            np.multiply(c0, _P0[k], out=q)
-            q += np.multiply(c1, _P1[k], out=tmp)
-            q += np.multiply(c2, _P2[k], out=tmp)
-            if sums is None:
-                sums = [q.copy() for _ in a_grid]
-            else:
-                for quad_form, t in zip(sums, ts):
-                    quad_form *= t
-                    quad_form += q
-    del c0, c1, c2, ts, q, tmp
-    out = np.empty((len(a_grid), m))
-    for i, (a, quad_form) in enumerate(zip(a_grid, sums)):
-        zc = a * w_c
-        big = zc >= _MOMENT_SERIES_CUT
-        e0, e1, e2 = _moment_ladder(a, zc[big], w_c[big], w2_c[big])
-        quad_form.reshape(-1)[cand[big]] = uu_c[big] * e0 + two_ub_c[big] * e1 + bb_c[big] * e2
-        interior = np.sum(np.exp(-a * lo) * quad_form, axis=1)
-        tail = np.exp(-a * last) * tail_sq / a
-        out[i] = n * (interior + tail)
+        lo, width, u, be, alpha_n = _pieces(ys[rows], eta[rows])
+        uu = u * u
+        two_ub = 2.0 * u * be
+        bb = be * be
+        width2 = width**2
+        last = ys[rows, -1]
+        tail_sq = alpha_n**2
+        cand = np.flatnonzero(max(a_grid) * width >= _MOMENT_SERIES_CUT)
+        w_c, w2_c, uu_c, two_ub_c, bb_c = (
+            v.reshape(-1)[cand] for v in (width, width2, uu, two_ub, bb)
+        )
+        c0, c1, c2 = uu * width, two_ub * width2, bb * width**3
+        del u, be, alpha_n, uu, two_ub, bb, width2
+        ts = [-a * width for a in a_grid]
+        q = np.empty_like(width)
+        tmp = np.empty_like(width)
+        sums = None
+        # on the elements the ladder overwrites, t**16 may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in reversed(range(_MOMENT_SERIES_TERMS)):
+                np.multiply(c0, _P0[k], out=q)
+                q += np.multiply(c1, _P1[k], out=tmp)
+                q += np.multiply(c2, _P2[k], out=tmp)
+                if sums is None:
+                    sums = [q.copy() for _ in a_grid]
+                else:
+                    for quad_form, t in zip(sums, ts):
+                        quad_form *= t
+                        quad_form += q
+        del c0, c1, c2, ts, q, tmp
+        for i, (a, quad_form) in enumerate(zip(a_grid, sums)):
+            zc = a * w_c
+            big = zc >= _MOMENT_SERIES_CUT
+            e0, e1, e2 = _moment_ladder(a, zc[big], w_c[big], w2_c[big])
+            quad_form.reshape(-1)[cand[big]] = uu_c[big] * e0 + two_ub_c[big] * e1 + bb_c[big] * e2
+            interior = np.sum(np.exp(-a * lo) * quad_form, axis=1)
+            tail = np.exp(-a * last) * tail_sq / a
+            out[i, rows] = n * (interior + tail)
     return out
 
 
@@ -341,11 +322,11 @@ def stein_transform(density, p, s):
 
     X has the given density; (eta, b) = (p.eta, p.b). Equals the GO(eta, b)
     CDF for every s exactly when X follows GO(eta, b). Returns 0 for
-    s <= 0. Raises MomentConditionError when the defining expectation
-    diverges, which happens whenever b is at least the density's
-    exponential tail rate.
+    s <= 0 and raises ValueError for a NaN s. Raises MomentConditionError
+    when the defining expectation diverges, which happens whenever b is at
+    least the density's exponential tail rate.
     """
-    s = float(s)
+    s = float(_points(s, "s"))
     if s <= 0.0:
         return 0.0
     eta, b = p.eta, p.b

@@ -128,6 +128,8 @@ def test_gof_validation(tmp_path, capsys):
     assert main(["gof", "--input", str(data), "--test", "nope"]) == 2
     assert main(["gof", "--input", str(data), "--alpha", "1.5"]) == 2
     capsys.readouterr()
+    assert main(["gof", "--input", str(data), "--test", "stein,ks", "--a", ""]) == 2
+    assert "the a grid must be nonempty" in capsys.readouterr().err
 
 
 def test_sample_token_form_and_determinism(tmp_path, capsys):

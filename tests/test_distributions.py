@@ -67,6 +67,8 @@ def test_gompertz_negative_argument():
     p = GompertzParams(1.0, 1.0)
     assert gompertz_pdf(p, -1.0) == 0.0
     assert gompertz_cdf(p, -1.0) == 0.0
+    with pytest.raises(ValueError, match="x must not be NaN"):
+        gompertz_cdf(p, math.nan)
 
 
 def test_gompertz_sample_deterministic_and_positive():
@@ -115,6 +117,7 @@ def test_spec_validation():
 def test_spec_aliases_and_label():
     assert AlternativeSpec("LN", sigma=0.8) == AlternativeSpec("lognormal", sigma=0.8)
     assert AlternativeSpec("gamma", k=3).label() == "gamma(3)"
+    assert repr(AlternativeSpec("gamma", k=3)) == "AlternativeSpec('gamma', k=3)"
     assert AlternativeSpec("go", eta=0.5, b=1).label() == "gompertz(0.5,1)"
     assert hash(AlternativeSpec("w", k=2)) == hash(AlternativeSpec("weibull", k=2))
 
@@ -171,6 +174,8 @@ def test_alt_pdf_zero_outside_support():
     assert alt_pdf(AlternativeSpec("uniform", c=2.0), 2.5) == 0.0
     assert alt_pdf(AlternativeSpec("power", nu=1.0), 1.5) == 0.0
     assert alt_pdf(AlternativeSpec("gamma", k=3), -1.0) == 0.0
+    with pytest.raises(ValueError, match="x must not be NaN"):
+        alt_pdf(AlternativeSpec("gamma", k=3), math.nan)
 
 
 def test_alt_sample_deterministic_and_positive():

@@ -42,6 +42,8 @@ def test_nelson_aalen_hand_values():
     assert math.isclose(nelson_aalen(x, 1.5), 1 / 3, rel_tol=1e-15)
     assert math.isclose(nelson_aalen(x, 2.0), 1 / 3 + 1 / 2, rel_tol=1e-15)
     assert math.isclose(nelson_aalen(x, 10.0), 1 / 3 + 1 / 2 + 1.0, rel_tol=1e-15)
+    with pytest.raises(ValueError, match="x must not be NaN"):
+        nelson_aalen(x, math.nan)
 
 
 def test_nelson_aalen_ties_and_vector_argument():
@@ -81,6 +83,19 @@ def test_pilot_from_cumhaz_rejects_nonpositive_z():
     for z in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(PilotFailedError):
             pilot_from_cumhaz(z, 4.0, 1.0)
+
+
+def test_a_pilot_is_usable_only_as_a_positive_finite_scale():
+    # pilot_from_cumhaz raises exactly where the fit's pilot is NaN
+    for lam_z in (math.nan, math.inf, 1.5):
+        with pytest.raises(PilotFailedError, match="no positive finite scale"):
+            pilot_from_cumhaz(1.0, lam_z, 1.0)
+    # this sample's hazard ratio gives a negative scale, which the fit never
+    # starts Newton from: b_pilot reports NaN, and the fit is unchanged
+    fit = fit_mle(alt_sample(AlternativeSpec("weibull", k=0.5), 30, 0))
+    assert math.isnan(fit.b_pilot)
+    assert (fit.b_hat, fit.converged, fit.fallback_used, fit.iterations) == (0.001, False, True, 0)
+    assert fit.eta_hat == pytest.approx(356.47211938370276, rel=1e-12)
 
 
 def test_pilot_scale_matches_ingredients():

@@ -63,6 +63,8 @@ def test_lifetable_validation():
         LifeTable(ages=np.array([0, 1]), hazards=np.array([-0.1, 0.5]))
     with pytest.raises(ValueError):
         LifeTable(ages=np.array([0]), hazards=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="ages must be a nonempty one-dimensional collection"):
+        LifeTable([], [])
 
 
 def test_pmf_validation():
@@ -70,6 +72,8 @@ def test_pmf_validation():
         Pmf(ages=np.arange(2), masses=np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
         Pmf(ages=np.arange(2), masses=np.array([1.2, -0.2]))
+    with pytest.raises(ValueError, match="ages and masses must have equal length"):
+        Pmf(ages=[0, 1], masses=[1.0])
 
 
 def test_truncation_uniform_example():

@@ -64,6 +64,9 @@ def test_config_validation():
         SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(20,), alpha=1.0)
     with pytest.raises(ValueError):
         SimulationConfig(scenarios=(GompertzParams(1, 1),), sizes=(20,), replications=0)
+    for empty in ("sizes", "a_grid"):
+        with pytest.raises(ValueError, match="sizes and a_grid must each hold at least one value"):
+            SimulationConfig(**{"scenarios": (GompertzParams(1, 1),), "sizes": (20,), empty: ()})
     # each setting goes to the rule that owns it, at construction: a seed the
     # run would refuse, and every a of the grid, stein requested or not
     base = dict(scenarios=(GompertzParams(1, 1),), sizes=(20,))
@@ -333,9 +336,10 @@ def test_config_file_errors(tmp_path):
         (good + "bogus = 3\n", "unknown config key 'bogus'; the keys are scenarios, sizes, "),
         (good + "Seed = 3\n", "unknown config key 'Seed'"),
         (good + 'tests = ["nope"]\n', "unknown test kind 'nope'"),
-        (good + 'tests = "ks"\n', "config key tests must be an array, got 'ks'"),
-        ('scenarios = "gamma k=3"\nsizes = [20]\n', "config key scenarios must be an array"),
-        (good + "a_grid = 1\n", "config key a_grid must be an array, got 1"),
+        (good + 'tests = "ks"\n', "tests must be a tuple or list, got 'ks'"),
+        ('scenarios = "gamma k=3"\nsizes = [20]\n',
+         "scenarios must be a tuple or list, got 'gamma k=3'"),
+        (good + "a_grid = 1\n", "a_grid must be a tuple or list, got 1"),
         (good + "replications = 30.0\n", "replications must be an integer"),
         (good + "bootstrap = inf\n", "bootstrap must be an integer"),
         (good + "seed = -1\n", "seeds"),

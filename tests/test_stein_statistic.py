@@ -329,6 +329,8 @@ def test_stein_transform_nonpositive_s_is_zero():
     p = GompertzParams(1.0, 1.0)
     assert stein_transform(p, p, 0.0) == 0.0
     assert stein_transform(p, p, -2.0) == 0.0
+    with pytest.raises(ValueError, match="s must not be NaN"):
+        stein_transform(p, p, math.nan)
 
 
 def test_stein_transform_alternative_density():
