@@ -21,6 +21,15 @@ stages draw in order from the one stream, and the fit and every statistic
 reduce within a row only, so a replicate's statistic does not depend on
 the stage size; test_bootstrap_does_not_depend_on_the_stage checks that
 bit for bit.
+
+Batches: bootstrap_many also takes m samples with one seed each (the
+study's chunk of replicates). Their m*B bootstrap rows run through one
+sequence of stages, sample after sample, so at small n one stage refits
+the rows of several samples and pays numpy's per-call cost once for
+them. Each sample still draws its rows in order from its own seed's
+stream, and its statistics are decided as soon as its last row is
+scored, so a batched sample's outcome is bitwise its one-sample call and
+memory stays bounded by the stage for any m.
 """
 
 import math
@@ -32,8 +41,8 @@ from .distributions import (
     _count, _gompertz_cdf_unit, _gompertz_quantile_raw, _level, _positive, _positive_uniforms
 )
 from .edf_tests import EPS, _ad_rows, _cm_rows, _ks_rows, _wa_rows
-from .estimation import FitResult, _fittable, fit_batch
-from .rng import substream
+from .estimation import FitResult, ScoreOverflowError, _fittable, fit_batch
+from .rng import _word, substream
 from .stein_statistic import WeightParam, _t_closed_form_rows
 
 __all__ = [
@@ -140,9 +149,10 @@ def empirical_quantile(values, q):
     return float(v[max(k, 1) - 1])
 
 
-def _statistic_rows(kinds, fits):
-    """Evaluate every requested kind on the sorted rescaled rows b*xs of a FitBatch."""
-    ys, eta = fits.b[:, None] * fits.xs, fits.eta
+def _statistic_rows(kinds, fits, rows=slice(None)):
+    """Evaluate every requested kind on the sorted rescaled rows b*xs of a
+    FitBatch, or on those of its rows that `rows` selects."""
+    ys, eta = fits.b[rows, None] * fits.xs[rows], fits.eta[rows]
     out = {}
     edf_kinds = [k for k in kinds if k.name != "stein"]
     if edf_kinds:
@@ -156,14 +166,52 @@ def _statistic_rows(kinds, fits):
     return out
 
 
-def _checked_request(eta_hat, n, kinds, B):
-    """(eta_hat, n, kinds as a list, B), once a bootstrap of B samples of size
-    n from GO(eta_hat, 1) is known to be well posed; raises ValueError otherwise."""
-    eta_hat, n, B = _positive(eta_hat, "eta_hat"), _count(n, "n", 2), _count(B, "B", 1)
+def _checked_request(kinds, B):
+    """(kinds as a list, B), once they are distinct TestKinds, at least one, and
+    an integer of at least 1; raises ValueError otherwise."""
+    B = _count(B, "B", 1)
     kinds = list(kinds)
     if not kinds or not all(isinstance(k, TestKind) for k in kinds) or len(set(kinds)) < len(kinds):
         raise ValueError(f"test kinds must be distinct TestKinds, at least one, got {kinds}")
-    return eta_hat, n, kinds, B
+    return kinds, B
+
+
+def _staged_statistics(etas, n, kinds, B, seeds):
+    """Yield (i, {kind: (B,) statistics}, fallback refits) for replicate i = 0..m-1.
+
+    Replicate i is B samples of size n from GO(etas[i], 1), drawn in order
+    from substream(seeds[i]), refitted and scored. The m*B rows run in order
+    in stages of about _STAGE_BLOCK elements (at least one row); a stage may
+    hold the rows of several replicates, and a replicate is yielded as soon
+    as the stage that holds its last row is scored.
+    """
+    m, rows = len(etas), max(1, _STAGE_BLOCK // n)
+    gens, stats, fallback = {}, {}, {}
+    for g0 in range(0, m * B, rows):
+        g1 = min(g0 + rows, m * B)
+        # the rows [lo, hi) of each replicate i that the stage's rows [g0, g1) hold
+        parts = [
+            (i, max(g0 - i * B, 0), min(g1 - i * B, B)) for i in range(g0 // B, (g1 - 1) // B + 1)
+        ]
+        for i, lo, _ in parts:
+            if lo == 0:
+                gens[i], stats[i], fallback[i] = substream(seeds[i]), {k: np.empty(B) for k in kinds}, 0
+        # consecutive draws continue each replicate's stream, so stage by
+        # stage this is the (B, n) draw of one call per replicate
+        u = [_positive_uniforms(gens[i], (hi - lo, n)) for i, lo, hi in parts]
+        u = u[0] if len(u) == 1 else np.concatenate(u)
+        eta = np.repeat([etas[i] for i, _, _ in parts], [hi - lo for _, lo, hi in parts])
+        fits = fit_batch(_gompertz_quantile_raw(eta[:, None], 1.0, u))
+        values = _statistic_rows(kinds, fits)
+        at = 0
+        for i, lo, hi in parts:
+            for kind in kinds:
+                stats[i][kind][lo:hi] = values[kind][at : at + hi - lo]
+            fallback[i] += int(np.count_nonzero(fits.fallback[at : at + hi - lo]))
+            at += hi - lo
+            if hi == B:
+                del gens[i]
+                yield i, stats.pop(i), fallback.pop(i)
 
 
 def bootstrap_replicates(eta_hat, n, kinds, B, seed):
@@ -176,19 +224,9 @@ def bootstrap_replicates(eta_hat, n, kinds, B, seed):
     Raises ValueError unless eta_hat is positive and finite, n and B are
     integers of at least 2 and 1, and the kinds are distinct TestKinds.
     """
-    eta_hat, n, kinds, B = _checked_request(eta_hat, n, kinds, B)
-    gen = substream(seed)
-    stats = {kind: np.empty(B) for kind in kinds}
-    fallback = 0
-    rows = max(1, _STAGE_BLOCK // n)
-    for j0 in range(0, B, rows):
-        # consecutive draws continue the stream, so stage by stage this is
-        # the (B, n) draw of one call
-        u = _positive_uniforms(gen, (min(rows, B - j0), n))
-        fits = fit_batch(_gompertz_quantile_raw(eta_hat, 1.0, u))
-        for kind, values in _statistic_rows(kinds, fits).items():
-            stats[kind][j0 : j0 + values.size] = values
-        fallback += int(np.count_nonzero(fits.fallback))
+    eta_hat, n = _positive(eta_hat, "eta_hat"), _count(n, "n", 2)
+    kinds, B = _checked_request(kinds, B)
+    ((_, stats, fallback),) = _staged_statistics([eta_hat], n, kinds, B, [seed])
     return stats, float(fallback / B)
 
 
@@ -198,33 +236,66 @@ def bootstrap_many(sample, kinds, B, alpha, seed):
     All kinds share the data fit and the B bootstrap replicates (draws do
     not depend on the kind), so adding kinds costs only the extra statistic
     evaluations. Returns {kind: TestOutcome}.
+
+    Given an (m, n) array of m samples and a sequence of m seeds, it tests
+    each sample with its own seed and returns a list of m entries: the
+    sample's {kind: TestOutcome}, or the ValueError or ArithmeticError that
+    its data fit raised (which the one-sample call raises). The bootstraps
+    of all m samples run through one sequence of stages, so at small n a
+    stage holds the rows of several samples; each entry is bitwise the
+    one-sample call with its seed. A bad kind, B, alpha or seed, or a seed
+    count other than m, raises ValueError.
     """
-    x = _fittable(sample)
+    batched = np.ndim(sample) == 2
+    samples, seeds = (sample, list(seed)) if batched else ([sample], [seed])
+    kinds, B = _checked_request(kinds, B)
     alpha = _level(alpha, "alpha")
+    if len(seeds) != len(samples):
+        raise ValueError(f"need one seed per sample, got {len(seeds)} for {len(samples)}")
+    seeds = [_word(s) for s in seeds]
 
-    fits = fit_batch(x[None, :])
-    fit = fits.result(0)
-    # bootstrap_replicates checks the request; its stats hold the kinds in order
-    star_stats, nf_boot = bootstrap_replicates(fit.eta_hat, x.size, kinds, B, seed)
-    data_stats = _statistic_rows(list(star_stats), fits)
-
-    out = {}
-    for kind in star_stats:
-        t_data = float(data_stats[kind][0])
-        tstar = star_stats[kind]
-        crit = empirical_quantile(tstar, 1.0 - alpha)
-        out[kind] = TestOutcome(
-            kind=kind,
-            statistic=t_data,
-            p_value=float(np.mean(tstar >= t_data)),
-            critical_value=crit,
-            alpha=alpha,
-            B=int(B),
-            reject=bool(t_data > crit),
-            not_found_frequency_bootstrap=nf_boot,
-            fit=fit,
+    out, data = [None] * len(samples), []
+    for i, x in enumerate(samples):
+        try:
+            data.append((i, _fittable(x)))
+        except ValueError as exc:
+            out[i] = exc
+    fitted = []  # (position, data fit, row of fits) of each sample fitted
+    if data:
+        fits = fit_batch(np.array([x for _, x in data]))
+        for row, (i, _) in enumerate(data):
+            try:
+                fitted.append((i, fits.result(row), row))
+            except ScoreOverflowError as exc:
+                out[i] = exc
+    if fitted:
+        where, data_fits, rows = zip(*fitted)
+        data_stats = _statistic_rows(kinds, fits, list(rows))
+        staged = _staged_statistics(
+            [fit.eta_hat for fit in data_fits], fits.xs.shape[1], kinds, B, [seeds[i] for i in where]
         )
-    return out
+        for j, star_stats, fallback in staged:
+            out[where[j]] = outcomes = {}
+            for kind in kinds:
+                t_data = float(data_stats[kind][j])
+                tstar = star_stats[kind]
+                crit = empirical_quantile(tstar, 1.0 - alpha)
+                outcomes[kind] = TestOutcome(
+                    kind=kind,
+                    statistic=t_data,
+                    p_value=float(np.mean(tstar >= t_data)),
+                    critical_value=crit,
+                    alpha=alpha,
+                    B=B,
+                    reject=bool(t_data > crit),
+                    not_found_frequency_bootstrap=float(fallback / B),
+                    fit=data_fits[j],
+                )
+    if batched:
+        return out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
 
 
 def bootstrap_test(sample, kind, B, alpha, seed):

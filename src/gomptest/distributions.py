@@ -102,7 +102,7 @@ def gompertz_cdf(p, x):
 
 def gompertz_quantile(p, u):
     """Inverse CDF: (1/b) * log(1 - log(1-u)/eta) for u in (0, 1)."""
-    u = np.asarray(u, dtype=float)
+    u = _points(u, "u")
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
     out = _gompertz_quantile_raw(p.eta, p.b, u)

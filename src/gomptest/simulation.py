@@ -2,10 +2,13 @@
 
 For every (scenario, sample size) cell the harness draws M datasets, runs the
 shared-bootstrap battery of tests on each, and tallies rejections and
-fallback fits. Every replicate's random streams are keyed by
-(master seed, scenario label, n, replicate index), so reports are bitwise
-identical no matter how the replicates are chunked across workers: the only
-reductions are integer counts.
+fallback fits. The replicates run in chunks of consecutive indices, and
+each chunk is one bootstrap_many call on its (m, n) array of datasets, so
+that the bootstrap stages of several replicates are shared. Every
+replicate's random streams are keyed by (master seed, scenario label, n,
+replicate index), and a batched replicate is bitwise its own one-sample
+call, so reports are bitwise identical no matter how the replicates are
+chunked across workers: the only reductions are integer counts.
 """
 
 import csv
@@ -22,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .bootstrap import DEFAULT_TESTS, _a_column, _expand_tests, bootstrap_many
+from .bootstrap import _STAGE_BLOCK, DEFAULT_TESTS, _a_column, _expand_tests, bootstrap_many
 from .distributions import AlternativeSpec, GompertzParams, _as_spec, _count, _level, alt_sample
 from .edf_tests import _fit_clip_count
 from .rng import _MASK64, _word, derive_key
@@ -163,33 +166,40 @@ class SimulationReport:
 
 
 def _run_chunk(scenario, n, kinds, B, alpha, cell_seed, start, stop):
-    """Replicates [start, stop) of one cell as one integer tally: rejections
-    per kind, then data-fit fallbacks, bootstrap refit fallbacks, clipped data
-    PIT values, failures."""
+    """Replicates [start, stop) of one cell, tested by one bootstrap_many call
+    over their samples, as one integer tally: rejections per kind, then
+    data-fit fallbacks, bootstrap refit fallbacks, clipped data PIT values,
+    failures (samples whose data fit raised)."""
+    reps = range(start, stop)
+    x = np.array([alt_sample(scenario, n, derive_key(cell_seed, i, 0)) for i in reps])
+    seeds = [derive_key(cell_seed, i, 1) for i in reps]
     tally = np.zeros(len(kinds) + 4, dtype=np.int64)
-    for i in range(start, stop):
-        x = alt_sample(scenario, n, derive_key(cell_seed, i, 0))
-        try:
-            outcomes = bootstrap_many(
-                x, kinds, B=B, alpha=alpha, seed=derive_key(cell_seed, i, 1)
-            )
-        except (ValueError, ArithmeticError):
+    for xi, outcomes in zip(x, bootstrap_many(x, kinds, B=B, alpha=alpha, seed=seeds)):
+        if isinstance(outcomes, Exception):
             tally[-1] += 1
             continue
         first = outcomes[kinds[0]]
         # frequency is k/B for integer k; recover the count exactly
         nf_boot = round(first.not_found_frequency_bootstrap * B)
-        clipped = _fit_clip_count(x, first.fit)
+        clipped = _fit_clip_count(xi, first.fit)
         tally[:-1] += [
             *(outcomes[k].reject for k in kinds), first.fit.fallback_used, nf_boot, clipped
         ]
     return tally
 
 
-def _cell_chunks(m, workers):
+def _cell_chunks(m, workers, per_stage):
+    """Consecutive (start, stop) ranges that cover the cell's m replicates in
+    order; each is one _run_chunk, so one bootstrap_many call.
+
+    One worker runs the cell as one chunk. Several get chunks of ceil(m /
+    (4 * workers)) replicates, to balance the load, raised to per_stage (the
+    replicates whose bootstrap rows fill one stage, so that each stage is
+    full) but to no more than ceil(m / workers), so that every worker has one.
+    """
     if workers <= 1:
         return [(0, m)]
-    step = max(1, -(-m // (4 * workers)))
+    step = min(max(-(-m // (4 * workers)), per_stage), -(-m // workers))
     return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
@@ -212,7 +222,7 @@ def run_study(config, workers=1, progress=True):
             cell_seed = derive_key(config.seed, _fnv1a(label), n)
             t_cell = time.perf_counter()
             chunk = partial(_run_chunk, scenario, n, kinds, b, config.alpha, cell_seed)
-            tally = sum(run(chunk, *zip(*_cell_chunks(m, workers))))
+            tally = sum(run(chunk, *zip(*_cell_chunks(m, workers, _STAGE_BLOCK // (b * n)))))
             *rejected, nf_fit, nf_boot, clipped, failures = map(int, tally)
             cell = CellResult(
                 scenario=label,

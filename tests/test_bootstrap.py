@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gomptest import bootstrap
 from gomptest.bootstrap import (
@@ -29,7 +32,7 @@ from gomptest.edf_tests import (
     watson_statistic,
 )
 from gomptest.estimation import ScoreOverflowError, fit_batch, fit_mle, rescale
-from gomptest.rng import substream
+from gomptest.rng import derive_key, substream
 from gomptest.simulation import DEFAULT_A_GRID
 from gomptest.stein_statistic import StatisticInput, WeightParam, t_statistic_closed_form
 
@@ -307,3 +310,86 @@ def test_bootstrap_memory_is_bounded_by_the_stage():
         tracemalloc.stop()
     assert all(stats[k].shape == (400,) for k in kinds)
     assert peak < 16 * 8 * bootstrap._STAGE_BLOCK
+
+
+# Rows that a batched call must pass through unchanged: a data fit that
+# overflows, a sample without two distinct values, and a fit whose pilot is
+# unusable, so that its b_pilot is NaN and == on its outcomes is False.
+SPECIAL_ROWS = {
+    "overflow": alt_sample(AlternativeSpec("lognormal", sigma=6), 30, seed=0),
+    "all_equal": np.full(30, 2.0),
+    "nan_pilot": alt_sample(AlternativeSpec("weibull", k=0.5), 30, seed=0),
+}
+BATCH_FAMILIES = (
+    GompertzParams(1.0, 1.0),
+    GompertzParams(0.5, 1.0),
+    AlternativeSpec("gamma", k=0.8),
+    AlternativeSpec("lognormal", sigma=0.5),
+    AlternativeSpec("weibull", k=3),
+)
+
+
+def _bits(value):
+    """The value with each float as its hex text: == on the result is bitwise,
+    and a NaN field equals itself; an exception is its type and arguments."""
+    if isinstance(value, Exception):
+        return type(value), value.args
+    if isinstance(value, dict):
+        return [(k, _bits(v)) for k, v in value.items()]
+    if dataclasses.is_dataclass(value):
+        return [_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    return value.hex() if isinstance(value, float) else value
+
+
+@given(
+    rows=st.lists(
+        st.one_of(
+            st.sampled_from(sorted(SPECIAL_ROWS)),
+            st.tuples(st.sampled_from(BATCH_FAMILIES), st.integers(0, 10_000)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    kinds=st.lists(st.sampled_from(ALL_KINDS), min_size=1, max_size=3, unique=True),
+    B=st.integers(3, 12),
+    stage_rows=st.integers(1, 30),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(
+    rows=["overflow", (BATCH_FAMILIES[0], 1), "all_equal", "nan_pilot"],
+    kinds=ALL_KINDS, B=7, stage_rows=5, seed=3,
+)
+@settings(max_examples=40, deadline=None)
+def test_batch_entries_equal_their_one_sample_calls(rows, kinds, B, stage_rows, seed):
+    # stages of a few rows span the boundaries between samples; each sample's
+    # one-sample call runs in one stage at the default size
+    x = np.array([SPECIAL_ROWS[r] if isinstance(r, str) else alt_sample(r[0], 30, r[1]) for r in rows])
+    seeds = [derive_key(seed, i) for i in range(len(rows))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bootstrap, "_STAGE_BLOCK", stage_rows * 30)
+        batch = bootstrap_many(x, kinds, B=B, alpha=0.1, seed=seeds)
+    assert len(batch) == len(rows)
+    for r, xi, s, entry in zip(rows, x, seeds, batch):
+        try:
+            one = bootstrap_many(xi, kinds, B=B, alpha=0.1, seed=s)
+        except (ValueError, ArithmeticError) as exc:
+            one = exc
+        assert _bits(entry) == _bits(one)
+        if r == "overflow":
+            assert isinstance(entry, ScoreOverflowError)
+        elif r == "all_equal":
+            assert type(entry) is ValueError
+        elif r == "nan_pilot":
+            assert math.isnan(entry[kinds[0]].fit.b_pilot)
+
+
+def test_batch_request_errors_raise():
+    x = np.array([gompertz_sample(GompertzParams(1.0, 1.0), 20, seed=s) for s in range(3)])
+    ks = [TestKind("ks")]
+    with pytest.raises(ValueError, match="one seed per sample"):
+        bootstrap_many(x, ks, B=10, alpha=0.05, seed=[1, 2])
+    with pytest.raises(ValueError, match="seeds"):
+        bootstrap_many(x, ks, B=10, alpha=0.05, seed=[1, 2, -3])
+    with pytest.raises(ValueError, match="B must"):
+        bootstrap_many(x, ks, B=0, alpha=0.05, seed=[1, 2, 3])
+    assert bootstrap_many(np.empty((0, 20)), ks, B=10, alpha=0.05, seed=[]) == []

@@ -61,6 +61,8 @@ def test_gompertz_quantile_inverts_cdf():
         gompertz_quantile(p, 0.0)
     with pytest.raises(ValueError):
         gompertz_quantile(p, 1.0)
+    with pytest.raises(ValueError, match="u must not be NaN"):
+        gompertz_quantile(GompertzParams(1, 1), math.nan)
 
 
 def test_gompertz_negative_argument():

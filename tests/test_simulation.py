@@ -3,12 +3,15 @@ import dataclasses
 import io
 import math
 import re
+import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gomptest.bootstrap import TestKind, bootstrap_test
+from gomptest import simulation
+from gomptest.bootstrap import _STAGE_BLOCK, TestKind, bootstrap_test
 from gomptest.distributions import AlternativeSpec, GompertzParams
 from gomptest.rng import derive_key
 from gomptest.simulation import (
@@ -176,6 +179,54 @@ def test_study_makes_one_pool_per_run(monkeypatch):
     report = run_study(cfg, workers=2, progress=False)
     assert len(report.cells) == 2
     assert len(pools) == 1
+
+
+def test_study_makes_one_bootstrap_call_per_chunk(monkeypatch):
+    # the study-small-n benchmark's cells at one worker: each cell is one chunk
+    calls = []
+    inner = simulation.bootstrap_many
+
+    def spy(x, *args, **kwargs):
+        calls.append(len(x))
+        return inner(x, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "bootstrap_many", spy)
+    cfg = SimulationConfig(
+        scenarios=(GompertzParams(0.5, 1.0), AlternativeSpec("lognormal", sigma=0.5)),
+        sizes=(30,), a_grid=(1.0, 2.0), replications=16, bootstrap=200, seed=9,
+    )
+    run_study(cfg, workers=1, progress=False)
+    assert calls == [16, 16]
+
+
+def test_cell_chunks_cover_the_replicates_in_order():
+    for m, workers, per_stage in product((1, 2, 7, 16, 100, 2000), (1, 2, 3, 8), (0, 1, 5, 21, 500)):
+        chunks = simulation._cell_chunks(m, workers, per_stage)
+        starts = [lo for lo, _ in chunks]
+        assert starts == [0] + [hi for _, hi in chunks[:-1]] and chunks[-1][1] == m
+        sizes = [hi - lo for lo, hi in chunks]
+        assert min(sizes) >= 1
+        if workers == 1:
+            assert chunks == [(0, m)]
+        else:
+            # a full stage where the budget allows, and a chunk for every worker
+            fair = -(-m // workers)
+            assert max(sizes) == min(max(-(-m // (4 * workers)), per_stage), fair)
+    # study-small-n (M=16, B=200, n=30) at two workers: 2 chunks per cell, not 8
+    assert simulation._cell_chunks(16, 2, _STAGE_BLOCK // (200 * 30)) == [(0, 8), (8, 16)]
+
+
+def test_chunk_memory_is_bounded_by_the_stage():
+    kinds = SimulationConfig(scenarios=(GompertzParams(0.5, 1.0),), sizes=(30,), a_grid=(1.0, 2.0)).kinds()
+    tracemalloc.start()
+    try:
+        tally = simulation._run_chunk(GompertzParams(0.5, 1.0), 30, kinds, 200, 0.05, 1, 0, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tally[-1] == 0 and tally[:len(kinds)].max() <= 200
+    # the bound of test_bootstrap_memory_is_bounded_by_the_stage
+    assert peak < 16 * 8 * _STAGE_BLOCK
 
 
 def test_cells_keyed_by_scenario_not_position():
