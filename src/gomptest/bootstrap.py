@@ -13,8 +13,8 @@ of evaluation order, chunking or thread count, and repeated calls are
 bitwise identical. Several test kinds can share one set of bootstrap
 replicates because the draws do not depend on the kind.
 
-Memory: the replicates run in stages of consecutive rows holding about
-_STAGE_BLOCK elements each. A stage draws its rows, refits them and
+Memory: the replicates run in stages of _stage_rows(n) consecutive rows,
+about _STAGE_BLOCK elements. A stage draws its rows, refits them and
 scores them before the next begins, so the (rows, n) arrays of one stage
 are all that is held besides the (B,) statistics, whatever B is. The
 stages draw in order from the one stream, and the fit and every statistic
@@ -24,12 +24,12 @@ bit for bit.
 
 Batches: bootstrap_many also takes m samples with one seed each (the
 study's chunk of replicates). Their m*B bootstrap rows run through one
-sequence of stages, sample after sample, so at small n one stage refits
-the rows of several samples and pays numpy's per-call cost once for
-them. Each sample still draws its rows in order from its own seed's
-stream, and its statistics are decided as soon as its last row is
-scored, so a batched sample's outcome is bitwise its one-sample call and
-memory stays bounded by the stage for any m.
+sequence of stages, so at small n one stage refits the rows of several
+samples and pays numpy's per-call cost once for them. Each sample draws
+its rows in order from its own seed's stream and is decided as soon as
+its last row is scored, so its outcome is bitwise its one-sample call.
+The bootstrap's memory stays bounded by the stage for any m; the (m, n)
+data and their fit are the caller's to size.
 """
 
 import math
@@ -176,16 +176,21 @@ def _checked_request(kinds, B):
     return kinds, B
 
 
+def _stage_rows(n):
+    """Rows of size n per bootstrap stage, at least one; reads _STAGE_BLOCK when called."""
+    return max(1, _STAGE_BLOCK // n)
+
+
 def _staged_statistics(etas, n, kinds, B, seeds):
     """Yield (i, {kind: (B,) statistics}, fallback refits) for replicate i = 0..m-1.
 
     Replicate i is B samples of size n from GO(etas[i], 1), drawn in order
     from substream(seeds[i]), refitted and scored. The m*B rows run in order
-    in stages of about _STAGE_BLOCK elements (at least one row); a stage may
-    hold the rows of several replicates, and a replicate is yielded as soon
-    as the stage that holds its last row is scored.
+    in stages of _stage_rows(n) rows; a stage may hold the rows of several
+    replicates, and a replicate is yielded as soon as the stage that holds
+    its last row is scored.
     """
-    m, rows = len(etas), max(1, _STAGE_BLOCK // n)
+    m, rows = len(etas), _stage_rows(n)
     gens, stats, fallback = {}, {}, {}
     for g0 in range(0, m * B, rows):
         g1 = min(g0 + rows, m * B)
@@ -217,10 +222,8 @@ def _staged_statistics(etas, n, kinds, B, seeds):
 def bootstrap_replicates(eta_hat, n, kinds, B, seed):
     """B bootstrap statistics per kind under GO(eta_hat, 1), plus refit info.
 
-    Returns (stats: {kind: (B,) array}, fallback_fraction). The replicates
-    are drawn, refitted and scored in stages of about _STAGE_BLOCK
-    elements (at least one row), so memory is bounded by the stage size
-    and not by B*n; the result is bitwise the same for any stage size.
+    Returns (stats: {kind: (B,) array}, fallback_fraction), bitwise the same
+    for any stage size; memory is bounded by the stage, not by B*n.
     Raises ValueError unless eta_hat is positive and finite, n and B are
     integers of at least 2 and 1, and the kinds are distinct TestKinds.
     """
@@ -243,15 +246,15 @@ def bootstrap_many(sample, kinds, B, alpha, seed):
     its data fit raised (which the one-sample call raises). The bootstraps
     of all m samples run through one sequence of stages, so at small n a
     stage holds the rows of several samples; each entry is bitwise the
-    one-sample call with its seed. A bad kind, B, alpha or seed, or a seed
-    count other than m, raises ValueError.
+    one-sample call with its seed. A bad kind, B, alpha or seed, or seeds
+    that are not a sequence of m (a number or a string), raise ValueError.
     """
     batched = np.ndim(sample) == 2
-    samples, seeds = (sample, list(seed)) if batched else ([sample], [seed])
+    samples, seeds = (sample, seed) if batched else ([sample], [seed])
     kinds, B = _checked_request(kinds, B)
     alpha = _level(alpha, "alpha")
-    if len(seeds) != len(samples):
-        raise ValueError(f"need one seed per sample, got {len(seeds)} for {len(samples)}")
+    if np.ndim(seeds) != 1 or len(seeds) != len(samples):
+        raise ValueError(f"need one seed per sample, got {seed!r} for {len(samples)} samples")
     seeds = [_word(s) for s in seeds]
 
     out, data = [None] * len(samples), []

@@ -2,13 +2,14 @@
 
 For every (scenario, sample size) cell the harness draws M datasets, runs the
 shared-bootstrap battery of tests on each, and tallies rejections and
-fallback fits. The replicates run in chunks of consecutive indices, and
-each chunk is one bootstrap_many call on its (m, n) array of datasets, so
-that the bootstrap stages of several replicates are shared. Every
-replicate's random streams are keyed by (master seed, scenario label, n,
-replicate index), and a batched replicate is bitwise its own one-sample
-call, so reports are bitwise identical no matter how the replicates are
-chunked across workers: the only reductions are integer counts.
+fallback fits. The replicates run in chunks of consecutive indices, each
+one bootstrap_many call on its (m, n) array of datasets; a chunk holds no
+more datasets than a bootstrap stage holds rows, so memory does not grow
+with M. Every replicate's random streams are keyed by (master seed,
+scenario label, n, replicate index), and a batched replicate is bitwise its
+own one-sample call, so reports are bitwise identical however the
+replicates are chunked across workers: the only reductions are integer
+counts.
 """
 
 import csv
@@ -25,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .bootstrap import _STAGE_BLOCK, DEFAULT_TESTS, _a_column, _expand_tests, bootstrap_many
+from .bootstrap import DEFAULT_TESTS, _a_column, _expand_tests, _stage_rows, bootstrap_many
 from .distributions import AlternativeSpec, GompertzParams, _as_spec, _count, _level, alt_sample
 from .edf_tests import _fit_clip_count
 from .rng import _MASK64, _word, derive_key
@@ -188,18 +189,12 @@ def _run_chunk(scenario, n, kinds, B, alpha, cell_seed, start, stop):
     return tally
 
 
-def _cell_chunks(m, workers, per_stage):
-    """Consecutive (start, stop) ranges that cover the cell's m replicates in
-    order; each is one _run_chunk, so one bootstrap_many call.
-
-    One worker runs the cell as one chunk. Several get chunks of ceil(m /
-    (4 * workers)) replicates, to balance the load, raised to per_stage (the
-    replicates whose bootstrap rows fill one stage, so that each stage is
-    full) but to no more than ceil(m / workers), so that every worker has one.
-    """
-    if workers <= 1:
-        return [(0, m)]
-    step = min(max(-(-m // (4 * workers)), per_stage), -(-m // workers))
+def _cell_chunks(m, workers, n):
+    """Consecutive (start, stop) ranges that cover the m replicates in order,
+    one _run_chunk each: ceil(m / workers) replicates, so that every worker
+    has one, but at most _stage_rows(n), so that a chunk's data array, fit
+    and statistics are no larger than one bootstrap stage's, whatever m is."""
+    step = min(-(-m // workers), _stage_rows(n))
     return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
@@ -222,7 +217,7 @@ def run_study(config, workers=1, progress=True):
             cell_seed = derive_key(config.seed, _fnv1a(label), n)
             t_cell = time.perf_counter()
             chunk = partial(_run_chunk, scenario, n, kinds, b, config.alpha, cell_seed)
-            tally = sum(run(chunk, *zip(*_cell_chunks(m, workers, _STAGE_BLOCK // (b * n)))))
+            tally = sum(run(chunk, *zip(*_cell_chunks(m, workers, n))))
             *rejected, nf_fit, nf_boot, clipped, failures = map(int, tally)
             cell = CellResult(
                 scenario=label,

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from gomptest import bootstrap
@@ -17,6 +17,7 @@ from gomptest.bootstrap import (
     empirical_quantile,
 )
 from gomptest.distributions import (
+    _FAMILIES,
     AlternativeSpec,
     GompertzParams,
     _gompertz_quantile_raw,
@@ -390,6 +391,97 @@ def test_batch_request_errors_raise():
         bootstrap_many(x, ks, B=10, alpha=0.05, seed=[1, 2])
     with pytest.raises(ValueError, match="seeds"):
         bootstrap_many(x, ks, B=10, alpha=0.05, seed=[1, 2, -3])
+    # a number or a string is no sequence of seeds, even one of length m
+    for seed in (7, "abc"):
+        with pytest.raises(ValueError, match="one seed per sample"):
+            bootstrap_many(x, ks, B=10, alpha=0.05, seed=seed)
     with pytest.raises(ValueError, match="B must"):
         bootstrap_many(x, ks, B=0, alpha=0.05, seed=[1, 2, 3])
     assert bootstrap_many(np.empty((0, 20)), ks, B=10, alpha=0.05, seed=[]) == []
+
+
+# Invariances that reordering, batching or cutting the bootstrap work relies
+# on, over every family of the distribution table at small n and B. Outcomes
+# are compared with _bits, since a fit with a NaN b_pilot is != itself.
+DEFAULT_KINDS = bootstrap._expand_tests(bootstrap.DEFAULT_TESTS, DEFAULT_A_GRID)
+FAMILY_SPECS = st.sampled_from(sorted(_FAMILIES)).flatmap(
+    lambda name: st.fixed_dictionaries(
+        {p: st.floats(0.0, 1.0) if p in _FAMILIES[name].unit else st.floats(0.5, 3.0)
+         for p in _FAMILIES[name].params}
+    ).map(lambda params: AlternativeSpec(name, **params))
+)
+EXPLICIT_CASES = (
+    (AlternativeSpec("gompertz", eta=1, b=1), 50),
+    (AlternativeSpec("gamma", k=0.8), 40),
+    (AlternativeSpec("weibull", k=0.5), 30),  # an unusable pilot: b_pilot is NaN
+)
+
+
+def _outcomes(x, kinds, B, seed):
+    try:
+        return bootstrap_many(x, kinds, B=B, alpha=0.1, seed=seed)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
+def _with_explicit_cases(**extra):
+    def decorate(test):
+        for spec, n in EXPLICIT_CASES:
+            test = example(spec=spec, n=n, data_seed=0, seed=1, **extra)(test)
+        return test
+    return decorate
+
+
+@given(
+    spec=FAMILY_SPECS, n=st.integers(5, 50), data_seed=st.integers(0, 10_000),
+    seed=st.integers(0, 2**64 - 1), B=st.integers(2, 120), share=st.floats(0.0, 1.0),
+    stage_rows=st.integers(1, 200),
+)
+@_with_explicit_cases(B=120, share=50 / 120, stage_rows=200)
+@settings(max_examples=25, deadline=None)
+def test_bootstrap_prefix_is_the_shorter_call(spec, n, data_seed, seed, B, share, stage_rows):
+    # the first L statistics of a B-replicate call are the L-replicate call,
+    # for any stage size
+    try:
+        eta_hat = fit_mle(alt_sample(spec, n, data_seed)).eta_hat
+    except (ValueError, ArithmeticError):
+        reject()
+    L = max(1, round(share * B))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bootstrap, "_STAGE_BLOCK", stage_rows * n)
+        full, _ = bootstrap_replicates(eta_hat, n, DEFAULT_KINDS, B, seed)
+        prefix, _ = bootstrap_replicates(eta_hat, n, DEFAULT_KINDS, L, seed)
+    for kind in DEFAULT_KINDS:
+        assert full[kind][:L].tobytes() == prefix[kind].tobytes(), kind
+
+
+@given(
+    spec=FAMILY_SPECS, n=st.integers(5, 50), data_seed=st.integers(0, 10_000),
+    seed=st.integers(0, 2**64 - 1),
+    subset=st.lists(st.sampled_from(DEFAULT_KINDS), min_size=1, max_size=4, unique=True),
+)
+@_with_explicit_cases(subset=[TestKind("ks"), TestKind("stein", 5.0)])
+@settings(max_examples=25, deadline=None)
+def test_kind_outcome_does_not_depend_on_the_other_kinds(spec, n, data_seed, seed, subset):
+    x = alt_sample(spec, n, data_seed)
+    every, some = _outcomes(x, DEFAULT_KINDS, 30, seed), _outcomes(x, subset, 30, seed)
+    if isinstance(every, Exception):
+        assert _bits(some) == _bits(every)
+    else:
+        assert list(some) == subset
+        for kind in subset:
+            assert _bits(some[kind]) == _bits(every[kind]), kind
+
+
+@given(
+    spec=FAMILY_SPECS, n=st.integers(5, 50), data_seed=st.integers(0, 10_000),
+    seed=st.integers(0, 2**64 - 1), shuffle=st.integers(0, 2**32 - 1),
+)
+@_with_explicit_cases(shuffle=2)
+@settings(max_examples=25, deadline=None)
+def test_shuffling_the_sample_changes_no_output(spec, n, data_seed, seed, shuffle):
+    x = alt_sample(spec, n, data_seed)
+    shuffled = np.random.default_rng(shuffle).permutation(x)
+    assert _bits(_outcomes(shuffled, DEFAULT_KINDS, 30, seed)) == _bits(
+        _outcomes(x, DEFAULT_KINDS, 30, seed)
+    )

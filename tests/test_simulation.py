@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gomptest import simulation
-from gomptest.bootstrap import _STAGE_BLOCK, TestKind, bootstrap_test
+from gomptest.bootstrap import _STAGE_BLOCK, TestKind, _stage_rows, bootstrap_test
 from gomptest.distributions import AlternativeSpec, GompertzParams
 from gomptest.rng import derive_key
 from gomptest.simulation import (
@@ -200,20 +200,15 @@ def test_study_makes_one_bootstrap_call_per_chunk(monkeypatch):
 
 
 def test_cell_chunks_cover_the_replicates_in_order():
-    for m, workers, per_stage in product((1, 2, 7, 16, 100, 2000), (1, 2, 3, 8), (0, 1, 5, 21, 500)):
-        chunks = simulation._cell_chunks(m, workers, per_stage)
+    for m, workers, n in product((1, 2, 7, 16, 100, 2000), (1, 2, 3, 8), (2, 30, 5000, 20000, 10**6)):
+        chunks = simulation._cell_chunks(m, workers, n)
         starts = [lo for lo, _ in chunks]
         assert starts == [0] + [hi for _, hi in chunks[:-1]] and chunks[-1][1] == m
         sizes = [hi - lo for lo, hi in chunks]
-        assert min(sizes) >= 1
-        if workers == 1:
-            assert chunks == [(0, m)]
-        else:
-            # a full stage where the budget allows, and a chunk for every worker
-            fair = -(-m // workers)
-            assert max(sizes) == min(max(-(-m // (4 * workers)), per_stage), fair)
+        # a chunk for every worker, and no chunk larger than one stage
+        assert min(sizes) >= 1 and max(sizes) == min(-(-m // workers), _stage_rows(n))
     # study-small-n (M=16, B=200, n=30) at two workers: 2 chunks per cell, not 8
-    assert simulation._cell_chunks(16, 2, _STAGE_BLOCK // (200 * 30)) == [(0, 8), (8, 16)]
+    assert simulation._cell_chunks(16, 2, 30) == [(0, 8), (8, 16)]
 
 
 def test_chunk_memory_is_bounded_by_the_stage():
@@ -226,6 +221,23 @@ def test_chunk_memory_is_bounded_by_the_stage():
         tracemalloc.stop()
     assert tally[-1] == 0 and tally[:len(kinds)].max() <= 200
     # the bound of test_bootstrap_memory_is_bounded_by_the_stage
+    assert peak < 16 * 8 * _STAGE_BLOCK
+
+
+def test_study_memory_does_not_grow_with_the_replicates():
+    # one worker, M=400 samples of n=5000: one chunk of all M samples would
+    # hold their 15 MiB data array and its fit at once (about 107 MiB)
+    cfg = SimulationConfig(
+        scenarios=(GompertzParams(1.0, 1.0),), sizes=(5000,), tests=("ks",),
+        replications=400, bootstrap=2, seed=0,
+    )
+    tracemalloc.start()
+    try:
+        report = run_study(cfg, workers=1, progress=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cells[0].failures == 0
     assert peak < 16 * 8 * _STAGE_BLOCK
 
 
