@@ -96,17 +96,21 @@ def _a_column(kind):
 def _expand_tests(names, a_grid):
     """Validate test names and expand them into kinds, stein once per a in a_grid.
 
-    Names are matched case-insensitively; no name, a repeated name, stein
-    with an empty grid or (through TestKind) an unknown name raises ValueError.
+    Names are matched case-insensitively; no name, a repeated name, a bad or
+    repeated a (stein requested or not), stein with an empty grid or (through
+    TestKind) an unknown name raises ValueError.
     """
     names = [str(t).strip().lower() for t in names]
     if not names or len(set(names)) != len(names):
         raise ValueError(f"test names must be distinct, at least one, got {names}")
-    if "stein" in names and not a_grid:
+    grid = [WeightParam(a).a for a in a_grid]
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"the a grid must hold distinct values, got {grid}")
+    if "stein" in names and not grid:
         raise ValueError("the a grid must be nonempty when the stein test is requested")
     kinds = []
     for name in names:
-        kinds.extend([TestKind(name, a) for a in a_grid] if name == "stein" else [TestKind(name)])
+        kinds.extend([TestKind(name, a) for a in grid] if name == "stein" else [TestKind(name)])
     return tuple(kinds)
 
 

@@ -18,10 +18,11 @@ implementation. t_statistic_closed_form is an O(n) prefix-sum evaluation
 of the same integral used inside bootstrap loops; the two agree to 1e-8
 relative, which the test suite enforces on randomised inputs (in practice
 to about 1e-15). Its batched engine, _t_closed_form_rows, covers a whole
-a-grid in one call: per block of rows it builds the a-free power-series
-coefficients of every interval's quadratic form once, so that each a costs
-one Horner pass, with the integration-by-parts ladder taking the intervals
-where a*width is too large for the series.
+a-grid in one call, with a as an array axis: per block of rows it builds
+the a-free power-series coefficients of every interval's quadratic form
+once, and each coefficient takes one Horner step over the whole
+(a, row, interval) array, with the integration-by-parts ladder taking the
+elements where a*width is too large for the series.
 """
 
 import math
@@ -225,7 +226,7 @@ def t_statistic_quadrature(input, w):
 
 # _t_closed_form_rows works on blocks of rows holding about this many
 # elements, so that a block's series coefficients stay in cache across the
-# a loop.
+# a axis.
 _ROW_BLOCK = 1 << 13
 
 
@@ -235,66 +236,59 @@ def _t_closed_form_rows(ys, eta, a_grid):
     Returns a (len(a_grid), m) array: row i holds the statistic at
     a = a_grid[i]. Same per-interval quadratic form as
     t_statistic_quadrature, vectorised, one block of about _ROW_BLOCK
-    elements at a time. Per block the a-free terms are computed once:
-    _pieces and, per interval, the coefficients Q_k of the whole quadratic
-    form u^2 E0 + 2 u beta E1 + beta^2 E2 as a power series in
+    elements at a time, with a as the leading axis of one
+    (len(a_grid), rows, n) array. Per block the a-free terms are computed
+    once: _pieces and, per interval, the coefficients Q_k of the whole
+    quadratic form u^2 E0 + 2 u beta E1 + beta^2 E2 as a power series in
     t = -a*width, Q_k = u^2 w P0[k] + 2 u beta w^2 P1[k] + beta^2 w^3 P2[k].
-    Each a then costs one Horner pass over every element, after which the
-    elements with a*width >= _MOMENT_SERIES_CUT are overwritten with the
-    ladder's quadratic form. They are found within the candidates taken
-    once for max(a_grid); rounding is monotone, so each a finds the same
-    elements as it would alone.
+    Each Q_k then takes one Horner step over the whole (a, row, interval)
+    array, after which the elements with a*width >= _MOMENT_SERIES_CUT are
+    overwritten with the ladder's quadratic form. They are found within the
+    candidates taken once for max(a_grid); rounding is monotone, so each a
+    finds the same elements as it would alone.
 
-    Each Q_k is built into one block-sized buffer and every a's Horner sum
-    takes its step with it, so a block holds only arrays of its own shape.
-    A (17, m, n) array of all the Q_k would be too large for the
-    allocator's free lists and would page-fault afresh on every call. All
-    reductions are row-local, so a row is bitwise identical under any
-    batching, any block size and any grid.
+    Each Q_k is built into one block-sized buffer, so a block holds only
+    that buffer and the (a, row, interval) arrays t and the Horner sum. A
+    (17, m, n) array of all the Q_k would be too large for the allocator's
+    free lists and would page-fault afresh on every call. Every operation
+    is elementwise or a row-local reduction, so a row is bitwise identical
+    under any batching, any block size and any grid.
     """
     m, n = ys.shape
-    out = np.empty((len(a_grid), m))
+    a = np.asarray(a_grid, dtype=float)
+    out = np.empty((a.size, m))
     step = max(1, _ROW_BLOCK // n)
     for r0 in range(0, m, step):
         rows = slice(r0, r0 + step)
         lo, width, u, be, alpha_n = _pieces(ys[rows], eta[rows])
-        uu = u * u
-        two_ub = 2.0 * u * be
-        bb = be * be
-        width2 = width**2
-        last = ys[rows, -1]
-        tail_sq = alpha_n**2
-        cand = np.flatnonzero(max(a_grid) * width >= _MOMENT_SERIES_CUT)
-        w_c, w2_c, uu_c, two_ub_c, bb_c = (
-            v.reshape(-1)[cand] for v in (width, width2, uu, two_ub, bb)
-        )
-        c0, c1, c2 = uu * width, two_ub * width2, bb * width**3
-        del u, be, alpha_n, uu, two_ub, bb, width2
-        ts = [-a * width for a in a_grid]
+        c0, c1, c2 = u * u * width, 2.0 * u * be * width**2, be * be * width**3
+        t = np.multiply.outer(-a, width)
+        quad_form = np.empty_like(t)
         q = np.empty_like(width)
         tmp = np.empty_like(width)
-        sums = None
         # on the elements the ladder overwrites, t**16 may overflow
         with np.errstate(over="ignore", invalid="ignore"):
             for k in reversed(range(_MOMENT_SERIES_TERMS)):
                 np.multiply(c0, _P0[k], out=q)
                 q += np.multiply(c1, _P1[k], out=tmp)
                 q += np.multiply(c2, _P2[k], out=tmp)
-                if sums is None:
-                    sums = [q.copy() for _ in a_grid]
+                if k == _MOMENT_SERIES_TERMS - 1:
+                    quad_form[...] = q
                 else:
-                    for quad_form, t in zip(sums, ts):
-                        quad_form *= t
-                        quad_form += q
-        del c0, c1, c2, ts, q, tmp
-        for i, (a, quad_form) in enumerate(zip(a_grid, sums)):
-            zc = a * w_c
-            big = zc >= _MOMENT_SERIES_CUT
-            e0, e1, e2 = _moment_ladder(a, zc[big], w_c[big], w2_c[big])
-            quad_form.reshape(-1)[cand[big]] = uu_c[big] * e0 + two_ub_c[big] * e1 + bb_c[big] * e2
-            interior = np.sum(np.exp(-a * lo) * quad_form, axis=1)
-            tail = np.exp(-a * last) * tail_sq / a
-            out[i, rows] = n * (interior + tail)
+                    quad_form *= t
+                    quad_form += q
+        cand = np.flatnonzero(a.max() * width >= _MOMENT_SERIES_CUT)
+        z = np.multiply.outer(a, width.reshape(-1)[cand])
+        ia, ic = np.nonzero(z >= _MOMENT_SERIES_CUT)
+        big = cand[ic]
+        w_c, u_c, be_c = (v.reshape(-1)[big] for v in (width, u, be))
+        e0, e1, e2 = _moment_ladder(a[ia], z[ia, ic], w_c, w_c**2)
+        ladder = u_c * u_c * e0 + 2.0 * u_c * be_c * e1 + be_c * be_c * e2
+        quad_form.reshape(a.size, -1)[ia, big] = ladder
+        np.exp(np.multiply.outer(-a, lo, out=t), out=t)
+        interior = np.sum(np.multiply(t, quad_form, out=t), axis=2)
+        tail = np.exp(np.multiply.outer(-a, ys[rows, -1])) * alpha_n**2 / a[:, None]
+        out[:, rows] = n * (interior + tail)
     return out
 
 

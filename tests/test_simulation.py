@@ -76,6 +76,7 @@ def test_config_validation():
     for bad, match in (
         (dict(seed=-1), "seeds"), (dict(seed=2**64), "seeds"),
         (dict(a_grid=(math.inf,), tests=("ks",)), "weight parameter a"),
+        (dict(a_grid=(1, 1.0)), r"a grid must hold distinct values, got \[1\.0, 1\.0\]"),
         (dict(alpha="1.5"), "alpha must"), (dict(alpha=math.nan), "alpha must"),
     ):
         with pytest.raises(ValueError, match=match):

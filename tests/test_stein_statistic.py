@@ -133,6 +133,8 @@ def test_closed_form_grid_is_bitwise_the_per_a_evaluation():
         a_big = 1.0 / float(np.min(width))
         assert np.all(a_big * width >= _MOMENT_SERIES_CUT)
         _assert_grid_bitwise(ys, eta, (0.1, a_big))
+        # the largest a first: candidates are taken for max(a), not the last a
+        _assert_grid_bitwise(ys, eta, (a_big, 0.1, 2.0))
 
 
 @pytest.mark.parametrize("budget", ["one_row", "mid_batch", "one_block"])
