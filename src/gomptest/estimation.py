@@ -5,15 +5,19 @@ The scale b is the root of the profile score
     h(b) = (mean(e^(b x_j)) - 1) * (b*xbar + 1) - (b/n) * sum(x_j e^(b x_j)),
 
 found by Newton-Raphson from a pilot start built out of Nelson-Aalen
-cumulative-hazard ratios. A row whose pilot fails, whose Newton run fails,
-or which lands on the trivial root b=0 is rescued: a log grid above
-B_FLOOR brackets the first sign change of h, and the same Newton iteration
-reruns from the bracket's midpoint, kept inside it. The grid is scanned
-in order, computing h only, in blocks of consecutive columns: each block
-evaluates k columns for every row still in the scan in one pass, with k
-chosen so that a block holds about _SCAN_BLOCK elements (so many columns
-per block at small n, one at large n), and each row leaves the scan after
-the block that holds its first sign change. The shape follows as
+cumulative-hazard ratios. b=0 is always a double root of h, with
+h(b)/b^2 -> xbar^2 - mean(x^2)/2 as b -> 0. On rows where that limit is
+positive (sample CV < 1) the first run is deflated: it is Newton on h/b^2,
+which b=0 does not attract, so interior fits do not fall onto it. The other
+rows (CV >= 1, the b->0 boundary) run plain Newton on h. A row whose pilot
+fails, whose Newton run fails, or which lands on the trivial root b=0 is
+rescued: a log grid above B_FLOOR brackets the first sign change of h, and
+plain Newton reruns from the bracket's midpoint, kept inside it. The grid
+is scanned in order, computing h only, in blocks of consecutive columns:
+each block evaluates k columns for every row still in the scan in one
+pass, with k chosen so that a block holds about _SCAN_BLOCK elements (so
+many columns per block at small n, one at large n), and each row leaves
+the scan after the block that holds its first sign change. The shape follows as
 eta_hat = 1 / (mean(e^(b_hat x_j)) - 1). When no positive root can be
 found the scale falls back to the conventional small value 0.001 and the
 fit is flagged. A fit whose eta_hat is not positive and finite (e^(b x)
@@ -272,14 +276,17 @@ def _pilot(z, lam_z, lam_half):
     return np.where(np.isfinite(b) & (b > 0.0), b, np.nan)
 
 
-def _newton(b0, xs, active, lo, hi):
+def _newton(b0, xs, active, lo, hi, deflate):
     """Masked Newton on the score; returns (b, converged, iterations).
 
     Rows stay active until |h| < NEWTON_TOL or they fail (non-finite score,
     zero derivative, iteration budget). Step halving keeps each row's
-    iterates inside its bracket, lo < b <= hi (hi may be inf). The row
-    terms (data, mean, bracket) of the active rows are gathered only when
-    rows leave, and not at all while every row is active.
+    iterates inside its bracket, lo < b <= hi (hi may be inf). Rows where
+    deflate is set step by h/(h' - 2h/b), which is Newton on h/b^2: the
+    double root b=0 of h is divided out, so it no longer attracts the
+    iterate, and h keeps its other roots. Every other row steps by h/h'.
+    The row terms (data, mean, bracket, deflate) of the active rows are
+    gathered only when rows leave, and not at all while every row is active.
     """
     m = xs.shape[0]
     b = b0.copy()
@@ -287,20 +294,25 @@ def _newton(b0, xs, active, lo, hi):
     iterations = np.zeros(m, dtype=np.int64)
     idx = np.nonzero(active)[0]
     if idx.size < m:
-        xs, lo, hi = xs[idx], lo[idx], hi[idx]
+        xs, lo, hi, deflate = xs[idx], lo[idx], hi[idx], deflate[idx]
     xbar = _row_mean(xs)
     for _ in range(NEWTON_MAX_ITER):
         if not idx.size:
             break
-        h, hp = _score_and_deriv(b[idx], xs, xbar)
+        b_old = b[idx]
+        h, hp = _score_and_deriv(b_old, xs, xbar)
+        if deflate.any():
+            with np.errstate(all="ignore"):
+                hp = np.where(deflate, hp - 2.0 * h / b_old, hp)
         bad = ~np.isfinite(h) | ~np.isfinite(hp) | (hp == 0.0)
         done = np.abs(h) < NEWTON_TOL
         converged[idx[done & ~bad]] = True
         move = ~done & ~bad
         if not move.all():
-            idx, xs, xbar, lo, hi, h, hp = (a[move] for a in (idx, xs, xbar, lo, hi, h, hp))
+            idx, xs, xbar, lo, hi, deflate, h, hp, b_old = (
+                a[move] for a in (idx, xs, xbar, lo, hi, deflate, h, hp, b_old)
+            )
         step = h / hp
-        b_old = b[idx]
         new_b = b_old - step
         guard = 0
         while np.any(out := (new_b <= lo) | (new_b > hi)) and guard < 200:
@@ -365,9 +377,10 @@ def _grid_rescue(xs):
 def fit_batch(x):
     """Fit every row of an (m, n) matrix; see FitBatch.
 
-    Pipeline per row: pilot start -> Newton; on pilot failure, Newton
-    failure, overflow, or collapse onto the b=0 boundary -> grid bracket ->
-    Newton inside it; if that fails too -> fallback b=0.001 with the flag set.
+    Pipeline per row: pilot start -> Newton, deflated at b=0 on rows with
+    sample CV < 1; on pilot failure, Newton failure, overflow, or collapse
+    onto the b=0 boundary -> grid bracket -> plain Newton inside it; if that
+    fails too -> fallback b=0.001 with the flag set.
     """
     x = np.asarray(x, dtype=float)
     m, n = x.shape
@@ -375,8 +388,12 @@ def fit_batch(x):
     pilot = _pilot(*_pilot_ingredients(xs)) if n >= PILOT_MIN_N else np.full(m, np.nan)
     start_ok = np.isfinite(pilot)
     b = np.where(start_ok, pilot, 1.0)
+    # h/b^2 tends to xbar^2 - mean(x^2)/2 as b -> 0, positive iff the sample
+    # CV is below 1; only there does deflating b=0 leave a root to find.
+    xbar = _row_mean(xs)
+    deflate = xbar * xbar > 0.5 * _row_mean(xs * xs)
     b_fit, converged, iterations = _newton(
-        b, xs, start_ok, np.zeros(m), np.full(m, np.inf)
+        b, xs, start_ok, np.zeros(m), np.full(m, np.inf), deflate
     )
     # Convergence onto the boundary root b=0 is not a fit.
     converged &= b_fit > B_FLOOR
@@ -385,7 +402,7 @@ def fit_batch(x):
         has, lo, hi = _grid_rescue(xs[rows])
         rows, lo, hi = rows[has], lo[has], hi[has]
         b_r, conv_r, iter_r = _newton(
-            0.5 * (lo + hi), xs[rows], np.ones(rows.size, bool), lo, hi
+            0.5 * (lo + hi), xs[rows], np.ones(rows.size, bool), lo, hi, np.zeros(rows.size, bool)
         )
         b_fit[rows] = b_r
         converged[rows] = conv_r
