@@ -18,6 +18,7 @@ from gomptest.estimation import (
     GRID_EXP_CAP,
     GRID_POINTS,
     NEWTON_TOL,
+    PILOT_MIN_N,
     FitResult,
     PilotFailedError,
     ScoreOverflowError,
@@ -204,11 +205,35 @@ def test_fit_equivariance_dyadic_scale_is_bitwise():
 
 
 def test_fit_equivariance_through_grid_rescue():
-    # This sample collapses onto the b=0 boundary and is re-bracketed on a
-    # grid with absolute bounds, so tracking is only near-exact there.
+    # This sample once collapsed onto the b=0 boundary and went to the grid;
+    # the deflated first run now fits it directly, and
+    # test_fit_equivariance_when_no_pilot_sends_the_row_to_the_grid covers
+    # the grid.
     x = gompertz_sample(GompertzParams(1.0, 1.0), 80, seed=6)
     base = fit_mle(x)
     scaled = fit_mle(4.0 * x)
+    assert base.converged and scaled.converged
+    assert math.isclose(scaled.b_hat, base.b_hat / 4.0, rel_tol=1e-10)
+    assert math.isclose(scaled.eta_hat, base.eta_hat, rel_tol=1e-10)
+
+
+def test_fit_equivariance_when_no_pilot_sends_the_row_to_the_grid(monkeypatch):
+    # Below PILOT_MIN_N there is no pilot, so even a CV < 1 sample starts at
+    # the grid, whose bounds are absolute: the two scales get different
+    # brackets, and Newton inside them tracks only to its tolerance.
+    x = gompertz_sample(GompertzParams(1.0, 1.0), PILOT_MIN_N - 1, seed=0)
+    assert np.mean(x) ** 2 > 0.5 * np.mean(x * x)
+    seen = []
+    inner = estimation._grid_rescue
+
+    def spy(xs):
+        seen.append(xs.shape[0])
+        return inner(xs)
+
+    monkeypatch.setattr(estimation, "_grid_rescue", spy)
+    base = fit_mle(x)
+    scaled = fit_mle(4.0 * x)
+    assert seen == [1, 1]
     assert base.converged and scaled.converged
     assert math.isclose(scaled.b_hat, base.b_hat / 4.0, rel_tol=1e-10)
     assert math.isclose(scaled.eta_hat, base.eta_hat, rel_tol=1e-10)

@@ -108,6 +108,41 @@ def test_exp_moments_match_mpmath():
                     assert rel < 1e-14, (a, float(w), m, float(rel))
 
 
+def _mp_statistic(ys, eta, a):
+    # n * int_0^inf V_n(s)^2 e^(-a s) ds at 50 digits, with V_n built from its
+    # definition on each interval and the constant tail integrated by hand
+    with mpmath.workdps(50):
+        ys = [mpmath.mpf(float(y)) for y in ys]
+        n, a = len(ys), mpmath.mpf(a)
+        g = [mpmath.mpf(float(eta)) * mpmath.exp(y) - 1 for y in ys]
+
+        def v(s):
+            return sum(gj * min(y, s) - (y <= s) for gj, y in zip(g, ys)) / n
+
+        knots = [mpmath.mpf(0)] + ys
+        total = mpmath.quad(lambda s: v(s) ** 2 * mpmath.exp(-a * s), knots)
+        alpha = sum(gj * y for gj, y in zip(g, ys)) / n - 1
+        return n * (total + alpha**2 * mpmath.exp(-a * ys[-1]) / a)
+
+
+def test_closed_form_engine_matches_mpmath_across_the_cut():
+    # One- and two-interval rows whose last interval has z = a*width on both
+    # sides of the cut, with V_n(mid) * beta != 0 there. eta*e^(Y_(n)) = 3
+    # keeps eta*e^Y - 1 away from 0 at the last point, where the statistic
+    # would be ill conditioned in eta and Y.
+    cut = _MOMENT_SERIES_CUT
+    zs = np.concatenate((np.geomspace(1e-8, 50.0, 25), [cut - 1e-7, cut + 1e-7]))
+    for a in (0.1, 1.0, 10.0):
+        width = zs / a
+        for ys in (width[:, None], np.stack((np.full_like(width, 1.0 / a), 1.0 / a + width), axis=1)):
+            eta = 3.0 * np.exp(-ys[:, -1])
+            got = _t_closed_form_rows(ys, eta, (a,))[0]
+            for r in range(ys.shape[0]):
+                want = _mp_statistic(ys[r], eta[r], a)
+                rel = abs((mpmath.mpf(float(got[r])) - want) / want)
+                assert rel < 1e-14, (a, ys[r].tolist(), float(rel))
+
+
 def _assert_grid_bitwise(ys, eta, a_grid):
     # row i of the grid is the one-a evaluation, and every batched row is
     # its own m=1 evaluation, bit for bit
