@@ -10,6 +10,8 @@ import csv
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from .bootstrap import DEFAULT_TESTS, _a_column, _expand_tests, bootstrap_many
 from .distributions import alt_sample
 from .edf_tests import _fit_clip_count
@@ -76,10 +78,14 @@ def cmd_gof(args):
     first = outcomes[kinds[0]]
     fit = first.fit
     clipped = _fit_clip_count(x, fit)
+    # population CV (ddof=0), on x/max(x) so that no square overflows; at
+    # cv >= 1 the score has no positive root and the fit is at the boundary
+    z = x / np.max(x)
+    cv = np.std(z) / np.mean(z)
     with _output(args.output) as fh:
         fh.write(f"# seed={args.seed} n={x.size} B={args.bootstrap} alpha={args.alpha:g}\n")
         fh.write(
-            f"# eta_hat={fit.eta_hat:.15g} b_hat={fit.b_hat:.15g} "
+            f"# cv={cv:.15g} eta_hat={fit.eta_hat:.15g} b_hat={fit.b_hat:.15g} "
             f"fallback_used={fit.fallback_used} iterations={fit.iterations} "
             f"notfound_boot={first.not_found_frequency_bootstrap:.15g} clipped={clipped}\n"
         )

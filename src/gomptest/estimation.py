@@ -17,7 +17,10 @@ is scanned in order, computing h only, in blocks of consecutive columns:
 each block evaluates k columns for every row still in the scan in one
 pass, with k chosen so that a block holds about _SCAN_BLOCK elements (so
 many columns per block at small n, one at large n), and each row leaves
-the scan after the block that holds its first sign change. The shape follows as
+the scan after the block that holds its first sign change. At CV >= 1 the
+score has no positive root at all (_horizon): such a row also leaves once
+the columns left are those where the float score is provably negative. The
+shape follows as
 eta_hat = 1 / (mean(e^(b_hat x_j)) - 1). When no positive root can be
 found the scale falls back to the conventional small value 0.001 and the
 fit is flagged. A fit whose eta_hat is not positive and finite (e^(b x)
@@ -61,6 +64,12 @@ GRID_EXP_CAP = 690.0
 # Element budget of one block of the grid scan: enough columns per block to
 # amortise numpy's per-call cost at small n, small enough to stay in cache.
 _SCAN_BLOCK = 1 << 16
+# The grid scan's horizon (_horizon): the b^2..b^HORIZON_TERMS terms of the
+# lower bound on |h|, the factor by which its rounding bound is inflated, and
+# the relative margin by which mean(x^2) must exceed 2*xbar^2 (CV >= 1).
+HORIZON_TERMS = 12
+HORIZON_SAFETY = 50.0
+HORIZON_CV_MARGIN = 1e-9
 
 
 class PilotFailedError(ValueError):
@@ -328,6 +337,96 @@ def _newton(b0, xs, active, lo, hi, deflate):
     return b, converged, iterations
 
 
+def _grid(xs):
+    # The rescue's (m, GRID_POINTS) log grid per sorted row: B_FLOOR up to the
+    # cap where e^(b*max(x)) stays finite, at most 50, at least 2*B_FLOOR.
+    top = np.maximum(np.minimum(50.0, GRID_EXP_CAP / xs[:, -1]), 2.0 * B_FLOOR)
+    t = np.linspace(0.0, 1.0, GRID_POINTS)
+    return B_FLOOR * (top[:, None] / B_FLOOR) ** t[None, :]
+
+
+def _horizon(xs, grid):
+    """First grid column of each row from which the float score is provably negative.
+
+    Returns J, an int per row in [0, GRID_POINTS]: h computed at grid[i, j] as
+    in _score_rows is finite and negative for every j >= J[i]. J is
+    GRID_POINTS (nothing proven) unless the row has mean(x^2) >=
+    2*xbar^2*(1 + HORIZON_CV_MARGIN), that is CV >= 1 with a margin far above
+    the rounding of the two moments.
+
+    The lemma. With mu_p = mean(x^p), h(b) = sum_{k>=2} c_k b^k and
+    c_k = [xbar*mu_(k-1) - (k-1)*mu_k/k]/(k-1)!. Lyapunov's inequality gives
+    mu_k/mu_(k-1) >= mu_2/xbar, so mu_2 >= 2*xbar^2 (CV >= 1) makes
+    c_2 = xbar^2 - mu_2/2 <= 0 and -c_k >= xbar*mu_(k-1)*(k-2)/k! > 0 for
+    k >= 3: h < 0 on all of (0, inf). With z = x/max(x), nu_p = mean(z^p),
+    y = b*max(x) and a = b*xbar = y*nu_1, each of these two sums of
+    nonnegative terms of -h is therefore a lower bound on |h|:
+
+        L(b) = (nu_2/2 - nu_1^2)*y^2 + sum_{k=3..HORIZON_TERMS}
+               nu_1*nu_(k-1)*(k-2)*y^k/k!   (HORIZON_TERMS - 1 moments),
+        T(b) = nu_1*((y - 2)*e^y + y + 2)/n   (y > 2),
+
+    T being the k >= 3 terms of the largest observation alone, summed in
+    closed form; L is the sharper at small y, T once e^y outgrows the
+    polynomial.
+
+    The rounding bound. Let u = 2^-53. numpy's exp is taken to be within
+    4 ulp (8u), and rounding b*x_j moves e^(b x_j) by at most 1.0001*y*u
+    more. numpy sums a row along its contiguous axis pairwise: blocks of 128
+    in 8 accumulators, halved above that, and the reduction's first element
+    added last, a tree at most D = 27 + max(0, ceil(log2(n/128))) additions
+    deep. So a mean of n nonnegative terms carries (D + 1)u relative error.
+    Carrying these through m1 = mean(e^(bx)) <= e^y, s1 = mean(x e^(bx))
+    (b*s1 <= y*m1) and the roundings of (m1 - 1)*(a + 1) - b*s1 bounds the
+    float score's error, to first order in u, by
+
+        u*m1*(2D + 16 + y)*(1 + a + y) <= (2D + 16)*u*e^y*(1 + y)*(1 + a + y),
+
+    as long as nothing overflows; subnormal intermediates add absolute errors
+    below 2^-1000. So a column is proven when max(L, T) > E, with
+
+        E(b) = HORIZON_SAFETY * (2D + 16) * u * e^y * (1 + y) * (1 + a + y),
+
+    and nothing can overflow there: n*max(x)*e^y, which bounds every sum, is
+    below e^709. The float values of L, T and E are within 1e-4 relative of
+    their exact values (the margin keeps nu_2/2 - nu_1^2 clear of
+    cancellation), far inside HORIZON_SAFETY. J is the first column from
+    which every column is proven; a column where e^y overflows to inf is
+    not.
+    """
+    m, n = xs.shape
+    horizon = np.full(m, GRID_POINTS)
+    top = xs[:, -1]
+    z = xs / top[:, None]
+    nu1 = _row_mean(z)
+    p = z * z
+    nu2 = _row_mean(p)
+    rows = np.nonzero(nu2 >= 2.0 * nu1 * nu1 * (1.0 + HORIZON_CV_MARGIN))[0]
+    if not rows.size:
+        return horizon
+    z, p, nu1, nu2, top = z[rows], p[rows], nu1[rows, None], nu2[rows, None], top[rows, None]
+    y = grid[rows] * top
+    term = 0.5 * y * y
+    nu = nu2
+    depth = 27 + max(0, math.ceil(math.log2(n / 128)))
+    with np.errstate(over="ignore"):
+        low = (nu2 - 2.0 * nu1 * nu1) * term
+        for k in range(3, HORIZON_TERMS + 1):
+            if k > 3:
+                p *= z
+                nu = _row_mean(p)[:, None]
+            term = term * y / k
+            low += (k - 2) * nu1 * nu * term
+        ey = np.exp(y)
+        tail = np.where(y > 2.0, nu1 * ((y - 2.0) * ey + y + 2.0) / n, 0.0)
+        err = HORIZON_SAFETY * (2 * depth + 16) * 2.0**-53 * ey * (1.0 + y) * (1.0 + nu1 * y + y)
+    finite = y + math.log(n) + np.log(np.maximum(top, 1.0)) < 709.0
+    proven = (np.maximum(low, tail) > err) & finite
+    suffix = np.logical_and.accumulate(proven[:, ::-1], axis=1)
+    horizon[rows] = GRID_POINTS - suffix.sum(axis=1)
+    return horizon
+
+
 def _grid_rescue(xs):
     """Bracket the first sign change of h on a log grid starting at B_FLOOR.
 
@@ -339,17 +438,24 @@ def _grid_rescue(xs):
     columns left. One block evaluates h at its k columns for every row
     still in the scan, in one pass through one reused scratch buffer; the
     last column of the previous block is carried over, so a cell that
-    straddles two blocks is tested too. A row leaves the scan after the
-    block that holds its first sign change. Each h value is computed by the
+    straddles two blocks is tested too. Each h value is computed by the
     same row-local operations as in _score_and_deriv, so the bracket does
     not depend on the block width.
+
+    A row leaves the scan after the block that holds its first sign change,
+    or its column J - 1, J its horizon (_horizon), whichever comes first:
+    from J on the float score is finite and negative, so the cell (J - 1, J)
+    is the last that can hold a sign change, and it does exactly when h at
+    J - 1 is finite and >= 0. A row with J = 0 has no sign change and is not
+    scanned at all.
     """
     m, n = xs.shape
-    top = np.maximum(np.minimum(50.0, GRID_EXP_CAP / xs[:, -1]), 2.0 * B_FLOOR)
-    t = np.linspace(0.0, 1.0, GRID_POINTS)
-    grid = B_FLOOR * (top[:, None] / B_FLOOR) ** t[None, :]
+    grid = _grid(xs)
     first = np.full(m, -1)
-    idx, ys, xbar = np.arange(m), xs, _row_mean(xs)
+    horizon = _horizon(xs, grid)
+    idx = np.nonzero(horizon > 0)[0]
+    ys, stop = xs[idx], horizon[idx]
+    xbar = _row_mean(ys)
     buf = np.empty(min(max(m * n, _SCAN_BLOCK), m * n * GRID_POINTS))
     j = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -359,13 +465,16 @@ def _grid_rescue(xs):
             h = _score_rows(grid[idx, j : j + k], ys, xbar, buf[: r * k * n].reshape(r, k, n))
             if j:
                 h = np.concatenate((prev[:, None], h), axis=1)
+            # The score is negative at a row's horizon when that is the next column.
+            after = np.where((stop == j + k) & (stop < GRID_POINTS), -1.0, np.nan)
             sign = np.where(np.isfinite(h), np.sign(h), np.nan)
+            sign = np.concatenate((sign, after[:, None]), axis=1)
             flip = sign[:, :-1] * sign[:, 1:] <= 0.0
             hit = flip.any(axis=1)
-            if hit.any():
-                first[idx[hit]] = np.argmax(flip[hit], axis=1) + max(j - 1, 0)
-                stay = ~hit
-                idx, ys, xbar, h = idx[stay], ys[stay], xbar[stay], h[stay]
+            first[idx[hit]] = np.argmax(flip[hit], axis=1) + max(j - 1, 0)
+            stay = ~hit & (stop > j + k)
+            if not stay.all():
+                idx, ys, xbar, stop, h = idx[stay], ys[stay], xbar[stay], stop[stay], h[stay]
             prev = h[:, -1]
             j += k
     has = first >= 0

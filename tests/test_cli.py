@@ -111,6 +111,24 @@ def test_gof_header_counts_the_clipped_pit_values(scale, clipped, tmp_path, caps
     assert fields["clipped"] == str(clipped)
 
 
+@pytest.mark.parametrize(
+    "dist, above_one",
+    [(GompertzParams(1.0, 1.0), False), (AlternativeSpec("gamma", k=0.5), True)],
+    ids=["go(1,1)", "gamma(0.5)"],
+)
+def test_gof_header_reports_the_population_cv(dist, above_one, tmp_path, capsys):
+    data = tmp_path / "x.csv"
+    x = alt_sample(dist, 200, seed=4)
+    data.write_text("value\n" + "".join(f"{v:.15g}\n" for v in x))
+    assert main(["gof", "--input", str(data), "--test", "ks", "--bootstrap", "20"]) == 0
+    header = capsys.readouterr().out.splitlines()[1]
+    fields = dict(f.split("=", 1) for f in header.lstrip("# ").split())
+    back = np.array([float(f"{v:.15g}") for v in x])
+    cv = float(fields["cv"])
+    assert cv == pytest.approx(np.std(back) / np.mean(back), rel=1e-13)
+    assert (cv >= 1.0) == above_one
+
+
 def test_gof_writes_file(tmp_path, capsys):
     data = tmp_path / "x.csv"
     _write_sample(data, n=40, seed=2)

@@ -2,8 +2,11 @@ import hashlib
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gomptest.distributions import (
     AlternativeSpec,
@@ -401,9 +404,8 @@ def test_interior_fits_are_bitwise_equivariant_under_dyadic_scaling(k):
         assert getattr(scaled, name).tobytes() == getattr(base, name).tobytes(), name
 
 
-def _full_grid_flips(xs):
-    # Reference: h at all GRID_POINTS columns through _score_and_deriv, then
-    # every cell whose two ends are finite with signs multiplying to <= 0.
+def _full_grid_scores(xs):
+    # Reference: the grid, and h at all GRID_POINTS columns through _score_and_deriv.
     m = xs.shape[0]
     top = np.maximum(np.minimum(50.0, GRID_EXP_CAP / xs[:, -1]), 2.0 * B_FLOOR)
     t = np.linspace(0.0, 1.0, GRID_POINTS)
@@ -412,6 +414,13 @@ def _full_grid_flips(xs):
     for j in range(GRID_POINTS):
         h, _ = estimation._score_and_deriv(grid[:, j], xs)
         hvals[:, j] = h
+    return grid, hvals
+
+
+def _full_grid_flips(xs):
+    # Reference: every cell of the full grid whose two ends are finite with
+    # signs multiplying to <= 0.
+    grid, hvals = _full_grid_scores(xs)
     finite = np.isfinite(hvals)
     sign = np.where(finite, np.sign(hvals), np.nan)
     return grid, finite[:, :-1] & finite[:, 1:] & (sign[:, :-1] * sign[:, 1:] <= 0.0)
@@ -472,12 +481,17 @@ def test_grid_scan_matches_full_grid(case):
         assert not flip.any() and not has.any()
 
 
-def _block_schedule(has, first, n, block):
+def _horizon_of(xs):
+    return estimation._horizon(xs, estimation._grid(xs))
+
+
+def _block_schedule(has, first, horizon, n, block):
     # The blocks of the grid scan as (first column, width, rows in the scan)
     # for an element budget `block`, given each row's first flip cell from
-    # the full-grid oracle: a row needs column first + 1 and leaves after
-    # the block that holds it.
-    last = np.where(has, first + 1, GRID_POINTS - 1)
+    # the full-grid oracle and its horizon J: a row needs column
+    # min(first + 1, J - 1) and leaves after the block that holds it. A row
+    # with J = 0 needs no column.
+    last = np.minimum(np.where(has, first + 1, GRID_POINTS - 1), horizon - 1)
     blocks, j = [], 0
     while j < GRID_POINTS and (r := int(np.sum(last >= j))):
         k = min(max(1, block // (r * n)), GRID_POINTS - j)
@@ -505,7 +519,9 @@ def test_grid_scan_stops_each_row_at_its_first_sign_change(monkeypatch):
 
     monkeypatch.setattr(estimation, "_score_rows", spy)
     estimation._grid_rescue(xs)
-    blocks = _block_schedule(has, first, xs.shape[1], estimation._SCAN_BLOCK)
+    horizon = _horizon_of(xs)
+    assert np.any(horizon < GRID_POINTS) and np.any(~has & (horizon < GRID_POINTS))
+    blocks = _block_schedule(has, first, horizon, xs.shape[1], estimation._SCAN_BLOCK)
     assert len(evaluated) == len(blocks)
     expected = sum(k * r for _, k, r in blocks)
     assert sum(evaluated) == expected < GRID_POINTS * xs.shape[0]
@@ -520,9 +536,9 @@ def _straddling_block(xs):
     late = first[has & (first >= 1)]
     if not late.size:
         return None
-    m, n = xs.shape
-    block = (int(late.min()) + 1) * m * n
-    starts = {j for j, _, _ in _block_schedule(has, first, n, block)}
+    horizon, n = _horizon_of(xs), xs.shape[1]
+    block = (int(late.min()) + 1) * int(np.sum(horizon > 0)) * n
+    starts = {j for j, _, _ in _block_schedule(has, first, horizon, n, block)}
     assert any(f + 1 in starts for f in first[has]), "no flip straddles two blocks"
     return block
 
@@ -542,6 +558,136 @@ def test_grid_scan_does_not_depend_on_the_block_width(case, width, monkeypatch):
     ref_has, ref_lo, ref_hi = _grid_rescue_full(xs)
     assert np.array_equal(has, ref_has)
     assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes()
+
+
+def _cv_at_least_one(xs):
+    xbar = np.mean(xs, axis=1)
+    return np.mean(xs * xs, axis=1) >= 2.0 * xbar * xbar
+
+
+def _assert_horizon_holds(xs):
+    # The scan equals the full-grid oracle byte for byte, and the float score
+    # is finite and negative at every column at or past each row's horizon.
+    grid, hvals = _full_grid_scores(xs)
+    has, lo, hi = estimation._grid_rescue(xs)
+    ref_has, ref_lo, ref_hi = _grid_rescue_full(xs)
+    assert np.array_equal(has, ref_has)
+    assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes()
+    horizon = estimation._horizon(xs, grid)
+    proven = np.arange(GRID_POINTS)[None, :] >= horizon[:, None]
+    assert np.all(np.isfinite(hvals[proven]) & (hvals[proven] < 0.0))
+    return horizon
+
+
+@given(
+    family=st.sampled_from(["exponential", "gamma", "weibull", "mixture"]),
+    shape=st.floats(0.3, 0.95),
+    n=st.integers(5, 2000),
+    m=st.integers(1, 4),
+    k=st.integers(-20, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_grid_scan_horizon_is_exact_on_cv_at_least_one_rows(family, shape, n, m, k, seed):
+    rng = np.random.default_rng(seed)
+    x = {
+        "exponential": lambda: rng.standard_exponential((m, n)),
+        "gamma": lambda: rng.standard_gamma(shape, (m, n)),
+        "weibull": lambda: rng.weibull(shape, (m, n)),
+        # two exponential scales: CV >= 1 in the population
+        "mixture": lambda: rng.standard_exponential((m, n))
+        * np.where(rng.random((m, n)) < shape, 1.0, 1.0 / shape**4),
+    }[family]()
+    x = np.sort(np.ldexp(x, k), axis=1)
+    x = x[_cv_at_least_one(x) & (x[:, 0] > 0.0)]
+    assume(x.shape[0] > 0)
+    _assert_horizon_holds(x)
+
+
+def test_a_row_proven_from_column_zero_is_not_scanned(monkeypatch):
+    xs = _GRID_CASES["gamma1_n30"]()
+    horizon = _assert_horizon_holds(xs)
+    assert np.any(horizon == 0) and np.any(horizon > 0)
+    scanned = []
+    inner = estimation._score_rows
+
+    def spy(b, xs, xbar, e):
+        scanned.append(b.shape[0])
+        return inner(b, xs, xbar, e)
+
+    monkeypatch.setattr(estimation, "_score_rows", spy)
+    has, _, _ = estimation._grid_rescue(xs)
+    assert scanned[0] == np.sum(horizon > 0)
+    assert not has[horizon == 0].any()
+
+
+def _nine_ones_and_one(excess):
+    # [1]*9 + [t] with mean(x^2) = 2*mean(x)^2*(1 + excess); t = 6 at 0.
+    d = 1.0 + excess
+    a, b, c = 10.0 - 2.0 * d, -36.0 * d, 90.0 - 162.0 * d
+    t = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+    return np.array([[1.0] * 9 + [t]])
+
+
+def test_a_row_inside_the_cv_margin_gets_no_horizon():
+    inside = _nine_ones_and_one(0.5 * estimation.HORIZON_CV_MARGIN)
+    outside = _nine_ones_and_one(1e3 * estimation.HORIZON_CV_MARGIN)
+    assert _cv_at_least_one(inside).all()
+    assert _assert_horizon_holds(inside)[0] == GRID_POINTS
+    assert _assert_horizon_holds(outside)[0] < GRID_POINTS
+
+
+def test_horizon_is_silent_where_the_exponent_overflows():
+    # At 1e9 every grid column has e^(b*max(x)) = inf: nothing is proven.
+    xs = _GRID_CASES["gamma1_n30_times_1e9"]()
+    assert _cv_at_least_one(xs).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        horizon = _horizon_of(xs)
+        estimation._grid_rescue(xs)
+    assert np.all(horizon == GRID_POINTS)
+
+
+def _mp_score_and_bounds(x, y):
+    # h, the moment bound L and the largest observation's bound T of
+    # _horizon, at b = y/max(x), in the working precision of mpmath.
+    x = [mpmath.mpf(float(v)) for v in x]
+    n, top = len(x), max(x)
+    b = mpmath.mpf(y) / top
+    mu = [mpmath.fsum(v**p for v in x) / n for p in range(estimation.HORIZON_TERMS)]
+    m1 = mpmath.fsum(mpmath.exp(b * v) for v in x) / n
+    s1 = mpmath.fsum(v * mpmath.exp(b * v) for v in x) / n
+    h = (m1 - 1) * (b * mu[1] + 1) - b * s1
+    low = (mu[2] / 2 - mu[1] ** 2) * b**2 + mpmath.fsum(
+        mu[1] * mu[k - 1] * (k - 2) * b**k / mpmath.factorial(k)
+        for k in range(3, estimation.HORIZON_TERMS + 1)
+    )
+    y = b * top
+    tail = mu[1] / top * ((y - 2) * mpmath.exp(y) + y + 2) / n
+    return h, low, tail
+
+
+def test_score_has_no_positive_root_at_cv_at_least_one():
+    # The lemma behind the horizon, in 50-digit arithmetic: at CV >= 1 the
+    # score is negative on (0, inf), by at least L and at least T.
+    rng = np.random.default_rng(5)
+    samples = [
+        rng.standard_gamma(0.5, 30),
+        rng.weibull(0.5, 15),
+        _nine_ones_and_one(0.0)[0],  # CV = 1 exactly
+        alt_sample(AlternativeSpec("gamma", k=1.0), 30, seed=2) * 1e-3,
+    ]
+    for x in samples:
+        assert _cv_at_least_one(x[None, :])[0]
+        with mpmath.workdps(50):
+            for y in np.geomspace(1e-6, 690.0, 40):
+                h, low, tail = _mp_score_and_bounds(x, y)
+                assert h < 0 and -h >= low > 0 and -h >= tail >= 0, (y, h, low, tail)
+    # CV just below 1: h/b^2 -> xbar^2 - mean(x^2)/2 > 0, so h > 0 near 0.
+    below = _nine_ones_and_one(-1e-6)[0]
+    assert not _cv_at_least_one(below[None, :])[0]
+    with mpmath.workdps(50):
+        assert _mp_score_and_bounds(below, 1e-6)[0] > 0
 
 
 def test_score_h_matches_the_batched_score():
